@@ -10,7 +10,7 @@ arithmetic is exact (arbitrary-precision integers and rationals).
 __version__ = "0.1.0"
 
 from .counting import LatticeCount, bounding_box, count_points, count_points_partitioned
-from .ehrhart import EhrhartPolynomial, check_reciprocity, ehrhart_polynomial, evaluate
+from .ehrhart import EhrhartPolynomial, check_reciprocity, ehrhart_polynomial
 from .errors import (
     ConstructionError,
     InternalConsistencyError,
@@ -68,7 +68,6 @@ __all__ = [
     "count_points",
     "count_points_partitioned",
     "ehrhart_polynomial",
-    "evaluate",
     "check_reciprocity",
     "copies_with_scale",
     "copy_census",

@@ -1,7 +1,8 @@
 """Command-line interface: polytope I/O and CSV/JSON/human reports.
 
 Exit codes: 0 success, 2 precondition or input problem, 3 violated exact
-identity (formula/oracle mismatch — a test signal, never swallowed).
+identity (formula/oracle mismatch — a test signal, never swallowed), 1 the
+reader of stdout closed the pipe, 130 interrupted by Ctrl-C.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +34,8 @@ from .selfcheck import run_all
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_THEOREM = 3
+EXIT_BROKEN_PIPE = 1
+EXIT_INTERRUPTED = 130
 
 
 @dataclass
@@ -377,7 +381,19 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    try:
+        status = run(config_from_args(args))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone. Python flushes stdout again at exit, so point
+        # it at devnull to keep that flush from raising too (see the SIGPIPE
+        # note in the `signal` module docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPTED
+    return status
 
 
 if __name__ == "__main__":

@@ -5,13 +5,14 @@ degree-d polynomial with constant term 1, leading coefficient equal to the
 volume, and d! times every coefficient integral. Interpolation uses the
 smallest valid support (t = 0..d) and re-verifies against fresh counts at
 two extra nodes, so a silent counting or interpolation bug cannot survive.
+The h*-vector of every polynomial is checked to be nonnegative (Stanley 1980).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .counting import count_points
 from .errors import InternalConsistencyError, NotFullDimensionalError
@@ -69,11 +70,28 @@ def _check_shape(poly: RationalPolynomial, P: LatticePolytope) -> None:
             raise InternalConsistencyError(
                 f"{d}! * coefficient of t^{k} is not an integer: {c}"
             )
+    h_star = _h_star(poly, d)
+    if any(h < 0 for h in h_star):
+        raise InternalConsistencyError(
+            f"h*-vector {[str(h) for h in h_star]} has a negative entry (Stanley 1980)"
+        )
+    if sum(h_star) != scale * P.volume_d:
+        raise InternalConsistencyError(
+            f"h*-vector sums to {sum(h_star)}, not {d}! * volume = {scale * P.volume_d}"
+        )
 
 
-def evaluate(poly: RationalPolynomial, t) -> Fraction:
-    """Exact evaluation of a rational polynomial at a rational point."""
-    return poly.evaluate(t)
+def _h_star(poly: RationalPolynomial, d: int) -> list[Fraction]:
+    """h*_k = sum_{j <= k} (-1)^j C(d+1, j) L(k - j) for k = 0..d.
+
+    These are the coefficients of the numerator of the Ehrhart series
+    sum_t L(t) z^t = h*(z) / (1 - z)^(d+1).
+    """
+    values = [poly.evaluate(t) for t in range(d + 1)]
+    return [
+        sum((-1) ** j * comb(d + 1, j) * values[k - j] for j in range(k + 1))
+        for k in range(d + 1)
+    ]
 
 
 def check_reciprocity(P: LatticePolytope, t_max: int) -> bool:

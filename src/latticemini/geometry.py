@@ -259,10 +259,27 @@ def volume(P: LatticePolytope) -> Fraction:
 
 
 def pyramid(P: LatticePolytope) -> LatticePolytope:
-    """Pyramid over P in one higher dimension with apex (0, ..., 0, 1)."""
+    """Pyramid over P in one higher dimension with apex (0, ..., 0, 1).
+
+    For full-dimensional P it is built from P's facets, with no hull: the
+    base -x_{d+1} <= 0, and a.x + b x_{d+1} <= b through the apex for each
+    facet a.x <= b of P (primitive, since a is), with volume vol(P)/(d+1).
+    A lower-dimensional P goes through from_vertices.
+    """
     d = P.ambient_dim
     apex = (0,) * d + (1,)
-    return from_vertices([v + (0,) for v in P.vertices] + [apex])
+    base = [v + (0,) for v in P.vertices]
+    if not P.is_full_dimensional:
+        return from_vertices(base + [apex])
+    facets = [((0,) * d + (-1,), 0)]
+    facets += [(h.normal + (h.offset,), h.offset) for h in P.halfspaces]
+    return LatticePolytope(
+        d + 1,
+        tuple(sorted(base + [apex])),
+        tuple(HalfSpace(n, b) for n, b in sorted(facets)),
+        d + 1,
+        P.volume_d / (d + 1),
+    )
 
 
 def to_json_dict(P: LatticePolytope) -> dict:

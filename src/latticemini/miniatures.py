@@ -73,17 +73,27 @@ def copies_with_scale(P: LatticePolytope, n: int, i: int) -> int:
     return count_points(P, n - i)
 
 
+def _dilate_counts(P: LatticePolytope, size: int) -> list[int]:
+    """The count table [L_P(0), ..., L_P(size - 1)], one count per dilate."""
+    return [count_points(P, t) for t in range(size)]
+
+
+def _census(P: LatticePolytope, n: int, counts: list[int]) -> CopyCensus:
+    """The census of copies in nP, read from a count table with len >= n."""
+    d = P.ambient_dim
+    per_scale = {i: counts[n - i] for i in range(1, n + 1)}
+    total = sum(per_scale.values())
+    weighted = sum(i**d * c for i, c in per_scale.items())
+    volume_sum = P.volume_d * Fraction(weighted, n**d)
+    return CopyCensus(dilate=n, per_scale=per_scale, total=total, volume_sum=volume_sum)
+
+
 def copy_census(P: LatticePolytope, n: int) -> CopyCensus:
     """Census of all horizontal lattice copies of P in nP, keyed by scale."""
     _require_full_dimensional(P, "the copy census")
     if n < 1:
         raise ValueError(f"census resolution must be a positive integer, got {n}")
-    d = P.ambient_dim
-    per_scale = {i: count_points(P, n - i) for i in range(1, n + 1)}
-    total = sum(per_scale.values())
-    weighted = sum(i**d * c for i, c in per_scale.items())
-    volume_sum = P.volume_d * Fraction(weighted, n**d)
-    return CopyCensus(dilate=n, per_scale=per_scale, total=total, volume_sum=volume_sum)
+    return _census(P, n, _dilate_counts(P, n))
 
 
 def copy_polynomial(P: LatticePolytope) -> RationalPolynomial:
@@ -94,10 +104,15 @@ def copy_polynomial(P: LatticePolytope) -> RationalPolynomial:
     vanishes and its leading coefficient is vol(P)/(d+1).
     """
     _require_full_dimensional(P, "the copy polynomial")
+    return _copy_polynomial(P, _dilate_counts(P, P.ambient_dim + 3))
+
+
+def _copy_polynomial(P: LatticePolytope, counts: list[int]) -> RationalPolynomial:
+    """copy_polynomial, checked against censuses read from a table with len >= d+3."""
     d = P.ambient_dim
     poly = ehrhart_polynomial(pyramid(P)).poly.shift_argument(-1)
     for t in range(1, d + 4):
-        expected = copy_census(P, t).total
+        expected = _census(P, t, counts).total
         if poly.evaluate(t) != expected:
             raise InternalConsistencyError(
                 f"copy polynomial disagrees with the census at n={t}: "
@@ -128,8 +143,12 @@ def numerator_polynomial(P: LatticePolytope) -> RationalPolynomial:
     leading coefficient d! d! / (2d+1)! * vol(P)^2.
     """
     _require_full_dimensional(P, "the numerator polynomial")
+    return _numerator_polynomial(P, _dilate_counts(P, 2 * P.ambient_dim + 3))
+
+
+def _numerator_polynomial(P: LatticePolytope, counts: list[int]) -> RationalPolynomial:
+    """numerator_polynomial, sampled from a count table with len >= 2d+3."""
     d = P.ambient_dim
-    counts = [count_points(P, i) for i in range(2 * d + 3)]
 
     def sample(n: int) -> Fraction:
         return P.volume_d * sum((n - i) ** d * counts[i] for i in range(n))
@@ -159,9 +178,18 @@ def mu_limit_symbolic(P: LatticePolytope) -> Fraction:
     since it would falsify the identity this package exists to check.
     """
     _require_full_dimensional(P, "the symbolic limit")
+    return _mu_limit(P, _dilate_counts(P, 2 * P.ambient_dim + 3))
+
+
+def _mu_limit(P: LatticePolytope, counts: list[int]) -> Fraction:
+    """mu_limit_symbolic, with P's counts read from a table with len >= 2d+3.
+
+    The census polynomial still comes from the pyramid's own counts, so the
+    two leading coefficients are derived from independent counts.
+    """
     d = P.ambient_dim
-    numerator = numerator_polynomial(P)
-    census_poly = copy_polynomial(P)
+    numerator = _numerator_polynomial(P, counts)
+    census_poly = _copy_polynomial(P, counts)
     limit = numerator.leading_coefficient / census_poly.leading_coefficient
     closed = P.volume_d / comb(2 * d + 1, d)
     if limit != closed:
@@ -174,8 +202,11 @@ def mu_limit_symbolic(P: LatticePolytope) -> Fraction:
 def mu_report(P: LatticePolytope, n_max: int) -> MuReport:
     """Ratio sequence for n = 1..n_max plus the exact symbolic limit.
 
-    A lower-dimensional polytope yields the all-zero report: every miniature
-    has ambient volume 0.
+    Each dilate of P is counted once: one table of L_P(t) for
+    t < max(n_max, 2d+3) feeds every census, the numerator samples and the
+    census-total checks, so a report costs n_max + O(d) lattice-point counts
+    (plus d+4 counts of the pyramid over P). A lower-dimensional polytope
+    yields the all-zero report: every miniature has ambient volume 0.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
@@ -187,12 +218,17 @@ def mu_report(P: LatticePolytope, n_max: int) -> MuReport:
             closed_form=zero,
             bound_constant=zero,
         )
-    closed = P.volume_d / comb(2 * P.ambient_dim + 1, P.ambient_dim)
-    ratios = [(n, mu_ratio(P, n)) for n in range(1, n_max + 1)]
+    d = P.ambient_dim
+    closed = P.volume_d / comb(2 * d + 1, d)
+    counts = _dilate_counts(P, max(n_max, 2 * d + 3))
+    ratios = []
+    for n in range(1, n_max + 1):
+        census = _census(P, n, counts)
+        ratios.append((n, census.volume_sum / census.total))
     bound = max(abs(r - closed) * n for n, r in ratios)
     return MuReport(
         ratios=ratios,
-        symbolic_limit=mu_limit_symbolic(P),
+        symbolic_limit=_mu_limit(P, counts),
         closed_form=closed,
         bound_constant=bound,
     )

@@ -78,12 +78,22 @@ def _translation_invariance() -> SuiteResult:
 
 
 def _pyramid_volume() -> SuiteResult:
+    # pyramid() sets vol(P)/(d+1) from P's facets, so the first identity holds
+    # by construction; the hull of base + apex triangulates the volume anew.
     for name, P in corpus.full_corpus():
         if not P.is_full_dimensional:
             continue
-        if (P.ambient_dim + 1) * volume(pyramid(P)) != P.volume_d:
+        d = P.ambient_dim
+        pyr = volume(pyramid(P))
+        if (d + 1) * pyr != P.volume_d:
             return SuiteResult("geometry.pyramid-volume", False, name)
-    return SuiteResult("geometry.pyramid-volume", True, "(d+1) vol(Pyr P) = vol(P)")
+        hull = from_vertices([v + (0,) for v in P.vertices] + [(0,) * d + (1,)])
+        if pyr != volume(hull):
+            return SuiteResult("geometry.pyramid-volume", False, f"{name} vs hull")
+    return SuiteResult(
+        "geometry.pyramid-volume", True,
+        "(d+1) vol(Pyr P) = vol(P) = (d+1) vol(hull of base + apex)",
+    )
 
 
 def _count_monotonicity() -> SuiteResult:

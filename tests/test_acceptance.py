@@ -16,7 +16,6 @@ from latticemini import (
     count_points,
     ehrhart_polynomial,
     enumerate_copies,
-    evaluate,
     from_vertices,
     average_miniature_volume,
     mu_inclusion_exclusion,
@@ -124,7 +123,7 @@ def test_criterion_08_ehrhart_shape(full_dim_corpus):
             assert (c * factorial(d)).denominator == 1, (name, c)
         sign = (-1) ** d
         for t in range(1, 5):
-            assert evaluate(poly, -t) == sign * count_points(P, t, interior=True), (name, t)
+            assert poly.evaluate(-t) == sign * count_points(P, t, interior=True), (name, t)
         assert check_reciprocity(P, 4), name
     report(8, "constant term 1, lead = triangulation volume, d! c_i integral, "
               "reciprocity for t <= 4, on the whole corpus")

@@ -273,3 +273,39 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "total = 20" in proc.stdout
+
+
+@pytest.mark.parametrize("lines_read", [0, 2])
+def test_closed_pipe_exits_without_traceback(lines_read):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "latticemini", "mu", "--preset", "square", "--n-max", "400"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    head = [proc.stdout.readline() for _ in range(lines_read)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in ((1,) if lines_read == 0 else (0, 1))
+    assert head == ["n,ratio_num,ratio_den,ratio_decimal\n", "1,1,1,1.000000000000\n"][:lines_read]
+    assert "Traceback" not in err
+
+
+def test_keyboard_interrupt_exits_130(capsys, monkeypatch):
+    def interrupted(config, out=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run", interrupted)
+    code, out, err = run_cli(capsys, "mu", "--preset", "square", "--n-max", "3")
+    assert code == 130
+    assert out == err == ""

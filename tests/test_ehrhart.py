@@ -12,7 +12,6 @@ from latticemini import (
     check_reciprocity,
     count_points,
     ehrhart_polynomial,
-    evaluate,
     from_vertices,
 )
 from latticemini import corpus
@@ -67,27 +66,27 @@ def test_shape_invariants(full_dim_corpus):
 
 class TestEvaluate:
     def test_square_at_three(self):
-        assert evaluate(ehrhart_polynomial(corpus.square()).poly, 3) == 16
+        assert ehrhart_polynomial(corpus.square()).poly.evaluate(3) == 16
 
     def test_at_zero_gives_constant(self):
         poly = RationalPolynomial.from_coeffs([7, -3, Fraction(1, 2)])
-        assert evaluate(poly, 0) == 7
+        assert poly.evaluate(0) == 7
 
     def test_triangle_at_minus_one_vanishes(self):
         # reciprocity instance: the unit triangle has no interior point at t=1
         poly = ehrhart_polynomial(corpus.triangle()).poly
-        assert evaluate(poly, -1) == 0
+        assert poly.evaluate(-1) == 0
 
     def test_rational_argument(self):
         poly = RationalPolynomial.from_coeffs([1, 2, 1])
-        assert evaluate(poly, Fraction(1, 2)) == Fraction(9, 4)
+        assert poly.evaluate(Fraction(1, 2)) == Fraction(9, 4)
 
 
 class TestReciprocity:
     def test_unit_square_closed_form(self):
         poly = ehrhart_polynomial(corpus.square()).poly
         for t in range(1, 5):
-            assert evaluate(poly, -t) == (t - 1) ** 2
+            assert poly.evaluate(-t) == (t - 1) ** 2
             assert count_points(corpus.square(), t, interior=True) == (t - 1) ** 2
         assert check_reciprocity(corpus.square(), 4)
 
@@ -114,3 +113,18 @@ def test_counting_bug_detected(monkeypatch):
     monkeypatch.setattr(ehrhart_module, "count_points", corrupted)
     with pytest.raises(InternalConsistencyError):
         ehrhart_polynomial(corpus.square())
+
+
+def test_negative_h_star_rejected():
+    # degree, constant term, lead = vol and 2! c_i integrality all hold for the
+    # triangle, but h* = (1, -1, 1) is not the h*-vector of any lattice polygon
+    poly = RationalPolynomial.from_coeffs([1, Fraction(1, 2), Fraction(1, 2)])
+    with pytest.raises(InternalConsistencyError, match="h\\*"):
+        ehrhart_module._check_shape(poly, corpus.triangle())
+
+
+def test_reeve_h_star():
+    # the Reeve tetrahedron T_r has h*(z) = 1 + (r - 1) z^2
+    for r in (1, 2, 5):
+        poly = ehrhart_polynomial(corpus.reeve(r)).poly
+        assert ehrhart_module._h_star(poly, 3) == [1, 0, r - 1, 0], r
