@@ -9,7 +9,7 @@ arithmetic is exact (arbitrary-precision integers and rationals).
 
 __version__ = "0.1.0"
 
-from .counting import LatticeCount, bounding_box, count_points, count_points_partitioned
+from .counting import LatticeCount, bounding_box, count_points
 from .ehrhart import EhrhartPolynomial, check_reciprocity, ehrhart_polynomial
 from .errors import (
     ConstructionError,
@@ -66,7 +66,6 @@ __all__ = [
     "to_json_dict",
     "bounding_box",
     "count_points",
-    "count_points_partitioned",
     "ehrhart_polynomial",
     "check_reciprocity",
     "copies_with_scale",

@@ -1,7 +1,11 @@
-"""Small exact linear-algebra kernel over Python ints and Fractions.
+"""Exact linear algebra over Python ints: one fraction-free elimination.
 
-Everything here is dimension-agnostic but tuned for the tiny systems this
-package solves (d <= 5, a handful of rows). No floating point anywhere.
+`echelon` is Bareiss's (1968) fraction-free Gaussian elimination. After a
+step every entry below the pivot rows is a minor of the input, so each
+division by the previous pivot is exact and no Fraction is ever formed.
+`det`, `rank`, `null_vector` and `solve` are read off its result. Input
+must be integer: on Fractions the floor division would silently be wrong.
+Sized for the tiny systems this package solves (d <= 5, a handful of rows).
 """
 
 from __future__ import annotations
@@ -25,99 +29,77 @@ def vscale(a, k):
     return tuple(k * x for x in a)
 
 
+def echelon(rows):
+    """Row echelon form of an integer matrix by Bareiss elimination.
+
+    Returns (rows, pivot_columns, swap_sign). The pivot of row i sits in
+    pivot_columns[i] and is the leading principal minor of order i+1 of
+    the row-swapped matrix on the pivot columns; swap_sign is the parity
+    of the row swaps.
+    """
+    work = [list(row) for row in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    sign, prev = 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            work[r], work[p] = work[p], work[r]
+            sign = -sign
+        top = work[r]
+        piv = top[c]
+        for row in work[r + 1:]:
+            f = row[c]
+            for j in range(c, ncols):
+                row[j] = (piv * row[j] - f * top[j]) // prev
+        prev = piv
+        pivots.append(c)
+        if len(pivots) == len(work):
+            break
+    return work, pivots, sign
+
+
 def det(matrix):
-    """Exact determinant by cofactor expansion; fine for the sizes used here."""
-    n = len(matrix)
-    if n == 0:
+    """Exact determinant of a square integer matrix."""
+    if not matrix:
         return 1
-    if n == 1:
-        return matrix[0][0]
-    if n == 2:
-        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    total = 0
-    for j, c in enumerate(matrix[0]):
-        if c:
-            minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-            term = c * det(minor)
-            total = total + term if j % 2 == 0 else total - term
-    return total
+    work, pivots, sign = echelon(matrix)
+    if len(pivots) < len(matrix):
+        return 0
+    return sign * work[-1][pivots[-1]]
 
 
 def rank(rows) -> int:
-    """Rank over Q of a list of equal-length vectors."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    if not work:
-        return 0
-    nrows, ncols = len(work), len(work[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = Fraction(1) / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank over Q of a list of equal-length integer vectors."""
+    return len(echelon(rows)[1])
+
+
+def null_vector(rows, k: int):
+    """Integer vector spanning the null space of `rows` in R^k, or None.
+
+    None unless the rows have rank k-1. The free entry is set to the last
+    pivot, a maximal minor, so by Cramer's rule every back-substitution
+    division is exact.
+    """
+    work, pivots, _ = echelon(rows)
+    if len(pivots) != k - 1:
+        return None
+    x = [0] * k
+    free = next(j for j in range(k) if j not in pivots)
+    x[free] = work[len(pivots) - 1][pivots[-1]] if pivots else 1
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        row = work[i]
+        x[c] = -sum(row[j] * x[j] for j in range(c + 1, k)) // row[c]
+    return tuple(x)
 
 
 def solve(matrix, rhs):
-    """Solve a square system exactly; returns a Fraction tuple or None if singular."""
-    n = len(matrix)
-    work = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if work[i][c]), None)
-        if pivot is None:
-            return None
-        work[c], work[pivot] = work[pivot], work[c]
-        inv = Fraction(1) / work[c][c]
-        work[c] = [v * inv for v in work[c]]
-        for i in range(n):
-            if i != c and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return tuple(work[i][n] for i in range(n))
-
-
-def row_basis(rows):
-    """Indices of a maximal linearly independent subset, plus pivot columns.
-
-    Returned pivot columns are chosen so that the original rows restricted to
-    those columns form an invertible square matrix.
-    """
-    basis = []  # (pivot_col, reduced Fraction vector)
-    indices, columns = [], []
-    for i, row in enumerate(rows):
-        v = [Fraction(x) for x in row]
-        for pc, bv in basis:
-            if v[pc]:
-                f = v[pc] / bv[pc]
-                v = [a - f * b for a, b in zip(v, bv)]
-        pc = next((j for j, x in enumerate(v) if x), None)
-        if pc is not None:
-            basis.append((pc, v))
-            indices.append(i)
-            columns.append(pc)
-    return indices, columns
-
-
-def hyperplane_normal(diffs, k):
-    """Integer vector orthogonal to k-1 difference vectors in R^k.
-
-    Computed by cofactor expansion of the formal determinant; returns None
-    when the differences do not span a hyperplane.
-    """
-    normal = []
-    for j in range(k):
-        minor = [[row[c] for c in range(k) if c != j] for row in diffs]
-        entry = det(minor)
-        normal.append(entry if j % 2 == 0 else -entry)
-    if not any(normal):
+    """Solve a square integer system exactly; a Fraction tuple, or None if singular."""
+    x = null_vector([list(row) + [-b] for row, b in zip(matrix, rhs)], len(matrix) + 1)
+    if x is None or x[-1] == 0:
         return None
-    return tuple(normal)
+    return tuple(Fraction(v, x[-1]) for v in x[:-1])

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotFullDimensionalError
-from .geometry import LatticePolytope
+from .geometry import LatticePolytope, _require_full_dimensional
 
 
 @dataclass(frozen=True)
@@ -74,29 +73,30 @@ def _scan(constraints, lows, highs) -> int:
     return rec(0, [0] * len(constraints))
 
 
-def _dilate_box(P: LatticePolytope, t: int) -> tuple[list[int], list[int]]:
+def _scan_input(P: LatticePolytope, t: int, interior: bool):
+    """The constraints and box of the scan of tP; None when tP is one point.
+
+    Validates t and rejects a lower-dimensional P of positive dimension.
+    """
+    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        raise ValueError(f"dilation factor must be a nonnegative integer, got {t!r}")
+    if P.dim == 0:
+        return None
+    _require_full_dimensional(P, "lattice-point counting")
+    if t == 0:
+        return None
+    shrink = 1 if interior else 0
+    constraints = [(h.normal, t * h.offset - shrink) for h in P.halfspaces]
     mins, maxs = bounding_box(P)
-    return [t * m for m in mins], [t * m for m in maxs]
+    return constraints, [t * m for m in mins], [t * m for m in maxs]
 
 
 def count_points(P: LatticePolytope, t: int, interior: bool = False) -> int:
     """Exact number of integer points in the closed (or open) dilate tP."""
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise ValueError(f"dilation factor must be a nonnegative integer, got {t!r}")
-    if P.dim == 0:
-        # tP is the single integer point t * vertex
+    scan = _scan_input(P, t, interior)
+    if scan is None:
         return 0 if interior else 1
-    if not P.is_full_dimensional:
-        raise NotFullDimensionalError(
-            "lattice-point counting requires a full-dimensional polytope "
-            "(or a single point)"
-        )
-    if t == 0:
-        return 0 if interior else 1
-    shrink = 1 if interior else 0
-    constraints = [(h.normal, t * h.offset - shrink) for h in P.halfspaces]
-    lows, highs = _dilate_box(P, t)
-    return _scan(constraints, lows, highs)
+    return _scan(*scan)
 
 
 def count_points_partitioned(
@@ -109,16 +109,10 @@ def count_points_partitioned(
     """
     if slabs < 1:
         raise ValueError("slabs must be >= 1")
-    if P.dim == 0 or t == 0:
-        return count_points(P, t, interior)
-    if not P.is_full_dimensional:
-        raise NotFullDimensionalError(
-            "lattice-point counting requires a full-dimensional polytope "
-            "(or a single point)"
-        )
-    shrink = 1 if interior else 0
-    constraints = [(h.normal, t * h.offset - shrink) for h in P.halfspaces]
-    lows, highs = _dilate_box(P, t)
+    scan = _scan_input(P, t, interior)
+    if scan is None:
+        return 0 if interior else 1
+    constraints, lows, highs = scan
     width = highs[0] - lows[0] + 1
     step = -(-width // slabs)
     total = 0

@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .counting import count_points
-from .errors import InternalConsistencyError, NotFullDimensionalError
-from .geometry import LatticePolytope
+from .errors import InternalConsistencyError
+from .geometry import LatticePolytope, _require_full_dimensional
 from .polynomial import RationalPolynomial
 
 
@@ -30,10 +30,7 @@ class EhrhartPolynomial:
 
 def ehrhart_polynomial(P: LatticePolytope) -> EhrhartPolynomial:
     """Exact degree-d Ehrhart polynomial of a full-dimensional lattice polytope."""
-    if not P.is_full_dimensional:
-        raise NotFullDimensionalError(
-            "the Ehrhart polynomial is computed only for full-dimensional polytopes"
-        )
+    _require_full_dimensional(P, "the Ehrhart polynomial")
     d = P.ambient_dim
     nodes = list(range(d + 1))
     values = [count_points(P, t) for t in nodes]

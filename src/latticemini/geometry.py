@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 from . import _linalg as la
 from .errors import ConstructionError, NotFullDimensionalError
@@ -60,6 +60,11 @@ class LatticePolytope:
         )
 
 
+def _require_full_dimensional(P: LatticePolytope, what: str) -> None:
+    if not P.is_full_dimensional:
+        raise NotFullDimensionalError(f"{what} requires a full-dimensional polytope")
+
+
 def _validated_points(points) -> list[tuple[int, ...]]:
     pts = [tuple(p) for p in points]
     if not pts:
@@ -99,7 +104,7 @@ def _facet_halfspaces(points, k: int) -> list[HalfSpace]:
     for idxs in combinations(range(len(points)), k):
         base = points[idxs[0]]
         diffs = [la.vsub(points[i], base) for i in idxs[1:]]
-        normal = la.hyperplane_normal(diffs, k)
+        normal = la.null_vector(diffs, k)
         if normal is None:
             continue
         offset = la.dot(normal, base)
@@ -130,27 +135,17 @@ def _vertex_indices(points, halfspaces, k: int) -> list[int]:
     return out
 
 
-def _integer_chart(points, r: int) -> list[tuple[int, ...]]:
-    """Affine coordinates of `points` (affine rank r) scaled to integers.
+def _integer_chart(points) -> list[tuple[int, ...]]:
+    """`points` projected onto the pivot columns of their difference vectors.
 
-    The chart is an affine isomorphism onto its image, so hull combinatorics
-    (faces, extreme points) are preserved exactly.
+    On those coordinates the projection of the affine hull is injective, so
+    it maps the hull (of dimension r = the number of columns) isomorphically
+    onto a polytope in R^r and preserves faces and extreme points exactly.
+    Points that span their ambient space are returned unchanged.
     """
     p0 = points[0]
-    diffs = [la.vsub(p, p0) for p in points[1:]]
-    basis_idx, pivot_cols = la.row_basis(diffs)
-    basis = [diffs[i] for i in basis_idx]
-    system = [[basis[j][c] for j in range(r)] for c in pivot_cols]
-    coords = []
-    for p in points:
-        w = la.vsub(p, p0)
-        alpha = la.solve(system, [w[c] for c in pivot_cols])
-        coords.append(alpha)
-    den = 1
-    for alpha in coords:
-        for a in alpha:
-            den = lcm(den, a.denominator)
-    return [tuple(int(a * den) for a in alpha) for alpha in coords]
+    columns = la.echelon([la.vsub(p, p0) for p in points[1:]])[1]
+    return [tuple(p[c] for c in columns) for p in points]
 
 
 def _triangulate(points, k: int) -> list[tuple[int, ...]]:
@@ -171,7 +166,7 @@ def _triangulate(points, k: int) -> list[tuple[int, ...]]:
         if la.dot(h.normal, points[apex]) == h.offset:
             continue
         face = [i for i in vidx if la.dot(h.normal, points[i]) == h.offset]
-        chart = _integer_chart([points[i] for i in face], k - 1)
+        chart = _integer_chart([points[i] for i in face])
         for sub in _triangulate(chart, k - 1):
             simplices.append((apex,) + tuple(face[j] for j in sub))
     return simplices
@@ -197,19 +192,14 @@ def from_vertices(points) -> LatticePolytope:
     uniq = sorted(set(pts))
     if len(uniq) == 1:
         return LatticePolytope(d, (uniq[0],), (), 0, Fraction(0))
-    diffs = [la.vsub(p, uniq[0]) for p in uniq[1:]]
-    r = la.rank(diffs)
-    if r == d:
-        halfspaces = _facet_halfspaces(uniq, d)
-        vidx = _vertex_indices(uniq, halfspaces, d)
-        verts = tuple(uniq[i] for i in vidx)
-        vol = _volume_by_triangulation(verts, d)
-        return LatticePolytope(d, verts, tuple(halfspaces), d, vol)
-    chart = _integer_chart(uniq, r)
-    chart_halfspaces = _facet_halfspaces(chart, r)
-    vidx = _vertex_indices(chart, chart_halfspaces, r)
-    verts = tuple(uniq[i] for i in vidx)
-    return LatticePolytope(d, verts, (), r, Fraction(0))
+    chart = _integer_chart(uniq)
+    r = len(chart[0])
+    halfspaces = _facet_halfspaces(chart, r)
+    verts = tuple(uniq[i] for i in _vertex_indices(chart, halfspaces, r))
+    if r < d:
+        return LatticePolytope(d, verts, (), r, Fraction(0))
+    vol = _volume_by_triangulation(verts, d)
+    return LatticePolytope(d, verts, tuple(halfspaces), d, vol)
 
 
 def dilate(P: LatticePolytope, k: int) -> LatticePolytope:
@@ -243,10 +233,7 @@ def translate(P: LatticePolytope, a) -> LatticePolytope:
 
 def contains(P: LatticePolytope, point, strict: bool = False) -> bool:
     """Exact membership of a rational point, interior membership when strict."""
-    if not P.is_full_dimensional:
-        raise NotFullDimensionalError(
-            "containment tests require a full-dimensional polytope"
-        )
+    _require_full_dimensional(P, "containment testing")
     x = tuple(point)
     if len(x) != P.ambient_dim:
         raise ValueError(f"point has length {len(x)}, expected {P.ambient_dim}")

@@ -14,18 +14,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import _linalg as la
 from .counting import count_points
 from .errors import (
     InternalConsistencyError,
-    NotFullDimensionalError,
     ResourceLimitError,
     TheoremViolationError,
     UnsupportedInputError,
 )
-from .geometry import HalfSpace, LatticePolytope, from_vertices, pyramid
+from .geometry import (
+    HalfSpace,
+    LatticePolytope,
+    _require_full_dimensional,
+    from_vertices,
+    pyramid,
+)
 from .ehrhart import ehrhart_polynomial
 from .polynomial import RationalPolynomial
 
@@ -58,11 +63,6 @@ class MuReport:
     symbolic_limit: Fraction
     closed_form: Fraction
     bound_constant: Fraction
-
-
-def _require_full_dimensional(P: LatticePolytope, what: str) -> None:
-    if not P.is_full_dimensional:
-        raise NotFullDimensionalError(f"{what} requires a full-dimensional polytope")
 
 
 def copies_with_scale(P: LatticePolytope, n: int, i: int) -> int:
@@ -261,7 +261,9 @@ def _intersection_polytope(parts, d: int) -> LatticePolytope | None:
     verts = _intersection_vertices(_dedupe_halfspaces(parts), d)
     if not verts:
         return None
-    diffs = [la.vsub(v, verts[0]) for v in verts[1:]]
+    # rank takes integers: clear the vertices' common denominator first
+    den = lcm(*(x.denominator for v in verts for x in v))
+    diffs = [[int((x - y) * den) for x, y in zip(v, verts[0])] for v in verts[1:]]
     if la.rank(diffs) < d:
         return None
     integral = []

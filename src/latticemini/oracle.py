@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
-from .errors import NotFullDimensionalError, ResourceLimitError, TheoremViolationError
-from .geometry import LatticePolytope, contains, dilate
+from .errors import ResourceLimitError, TheoremViolationError
+from .geometry import LatticePolytope, _require_full_dimensional, contains, dilate
 from .polynomial import RationalPolynomial
 
 # hard caps so oracle runs stay at desk scale and deterministic
@@ -30,8 +30,7 @@ class CopyWitness:
 
 
 def _check_guards(P: LatticePolytope, n: int) -> None:
-    if not P.is_full_dimensional:
-        raise NotFullDimensionalError("the oracle requires a full-dimensional polytope")
+    _require_full_dimensional(P, "the oracle")
     if n < 1:
         raise ValueError(f"resolution must be a positive integer, got {n}")
     cap = _MAX_RESOLUTION.get(P.ambient_dim)

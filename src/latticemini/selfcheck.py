@@ -43,6 +43,13 @@ def _hull_idempotence() -> SuiteResult:
         [(0,), (3,), (1,), (2,)],
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
         [(0, 0), (4, 0), (0, 4), (4, 4), (2, 2)],
+        # d = 4: six vertices and four redundant points on the boundary
+        [(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2),
+         (1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1)],
+        # a lattice hexagon plus an interior point, carried into R^4 by (x, y)
+        # -> (x, y, x + y, 2x - y + 1): its hull is charted by a projection
+        [(x, y, x + y, 2 * x - y + 1)
+         for x, y in [(0, 0), (2, 0), (3, 1), (3, 3), (1, 3), (0, 2), (1, 1)]],
     ]
     for pts in point_sets:
         P = from_vertices(pts)

@@ -34,6 +34,23 @@ def solve_exact(matrix, rhs):
     return [work[i][n] for i in range(n)]
 
 
+def rank_exact(rows) -> int:
+    """Rank by Gauss-Jordan elimination over Fractions."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c] / work[r][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        r += 1
+    return r
+
+
 def in_hull(points, x) -> bool:
     """x in conv(points)? Caratheodory: some (d+1)-subset contains it."""
     d = len(points[0])

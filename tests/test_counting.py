@@ -7,12 +7,12 @@ from latticemini import (
     NotFullDimensionalError,
     bounding_box,
     count_points,
-    count_points_partitioned,
     dilate,
     from_vertices,
     translate,
 )
 from latticemini import corpus
+from latticemini.counting import count_points_partitioned
 
 
 def test_square_corners():
@@ -44,6 +44,11 @@ def test_single_point_counts():
 def test_negative_dilate_rejected():
     with pytest.raises(ValueError):
         count_points(corpus.square(), -1)
+
+
+def test_partitioned_negative_dilate_rejected():
+    with pytest.raises(ValueError):
+        count_points_partitioned(corpus.square(), -2)
 
 
 def test_lower_dimensional_rejected():

@@ -258,6 +258,14 @@ class TestInclusionExclusion:
         with pytest.raises(UnsupportedInputError):
             mu_inclusion_exclusion([wedge, square])
 
+    def test_rational_intersection_vertices_rejected(self):
+        # the intersection (0,0), (0,1/3), (1/2,0) is full-dimensional, so its
+        # rank must be taken over Q before the lattice test can reject it
+        a = from_vertices([(-1, 1), (2, -1), (-5, -5)])
+        b = from_vertices([(0, 0), (5, 0), (0, 5), (5, 5)])
+        with pytest.raises(UnsupportedInputError, match="non-lattice vertex"):
+            mu_inclusion_exclusion([a, b])
+
     def test_non_convex_union_rejected(self):
         apart = translate(corpus.square(), (2, 0))
         with pytest.raises(UnsupportedInputError, match="not convex"):

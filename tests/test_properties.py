@@ -8,7 +8,6 @@ from latticemini import (
     bounding_box,
     check_reciprocity,
     count_points,
-    count_points_partitioned,
     dilate,
     ehrhart_polynomial,
     from_vertices,
@@ -16,6 +15,7 @@ from latticemini import (
     translate,
     volume,
 )
+from latticemini.counting import count_points_partitioned
 
 coordinate = st.integers(min_value=-4, max_value=4)
 
