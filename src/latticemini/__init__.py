@@ -9,7 +9,7 @@ arithmetic is exact (arbitrary-precision integers and rationals).
 
 __version__ = "0.1.0"
 
-from .counting import LatticeCount, bounding_box, count_points
+from .counting import LatticeCount, count_points
 from .ehrhart import EhrhartPolynomial, check_reciprocity, ehrhart_polynomial
 from .errors import (
     ConstructionError,
@@ -28,14 +28,12 @@ from .geometry import (
     dilate,
     from_vertices,
     pyramid,
-    to_json_dict,
     translate,
     volume,
 )
 from .miniatures import (
     CopyCensus,
     MuReport,
-    copies_with_scale,
     copy_census,
     copy_polynomial,
     mu_inclusion_exclusion,
@@ -44,7 +42,7 @@ from .miniatures import (
     mu_report,
     numerator_polynomial,
 )
-from .oracle import CopyWitness, average_miniature_volume, enumerate_copies, sum_prod_poly
+from .oracle import CopyWitness, average_miniature_volume, enumerate_copies
 from .polynomial import RationalPolynomial
 
 __all__ = [
@@ -63,12 +61,9 @@ __all__ = [
     "contains",
     "volume",
     "pyramid",
-    "to_json_dict",
-    "bounding_box",
     "count_points",
     "ehrhart_polynomial",
     "check_reciprocity",
-    "copies_with_scale",
     "copy_census",
     "copy_polynomial",
     "mu_ratio",
@@ -78,7 +73,6 @@ __all__ = [
     "numerator_polynomial",
     "enumerate_copies",
     "average_miniature_volume",
-    "sum_prod_poly",
     "LatticeMiniError",
     "ConstructionError",
     "NotFullDimensionalError",

@@ -5,8 +5,11 @@ scale i >= 1 and integer shift a; it stands for the miniature (iP + a)/n of
 resolution n, whose volume is (i/n)^d vol(P). The number of copies with
 scale i equals the lattice-point count L_P(n - i), the census total is a
 degree-(d+1) polynomial in n obtained from the pyramid over P, and the mean
-miniature volume converges to vol(P) / C(2d+1, d). Everything here is exact:
-the limit is extracted from interpolated leading coefficients, not floats.
+miniature volume converges to vol(P) / C(2d+1, d). Every L_P(t) is read off
+the verified Ehrhart polynomial of P, so censuses and ratio sequences cost
+O(n) polynomial evaluations and a fixed number of lattice-point counts.
+Everything here is exact: the limit is extracted from interpolated leading
+coefficients, not floats.
 """
 
 from __future__ import annotations
@@ -73,61 +76,90 @@ def copies_with_scale(P: LatticePolytope, n: int, i: int) -> int:
     return count_points(P, n - i)
 
 
-def _dilate_counts(P: LatticePolytope, size: int) -> list[int]:
-    """The count table [L_P(0), ..., L_P(size - 1)], one count per dilate."""
-    return [count_points(P, t) for t in range(size)]
+def copy_census(P: LatticePolytope, n: int) -> CopyCensus:
+    """Census of all horizontal lattice copies of P in nP, keyed by scale.
 
-
-def _census(P: LatticePolytope, n: int, counts: list[int]) -> CopyCensus:
-    """The census of copies in nP, read from a count table with len >= n."""
+    per_scale[i] = L_P(n - i) is read off the verified Ehrhart polynomial, so
+    a census of any resolution costs d+3 lattice-point counts.
+    """
+    _require_full_dimensional(P, "the copy census")
+    if n < 1:
+        raise ValueError(f"census resolution must be a positive integer, got {n}")
     d = P.ambient_dim
-    per_scale = {i: counts[n - i] for i in range(1, n + 1)}
+    L = ehrhart_polynomial(P).poly
+    # L takes integers at t = 0..d, so it is integer-valued at every t
+    per_scale = {i: int(L.evaluate(n - i)) for i in range(1, n + 1)}
     total = sum(per_scale.values())
     weighted = sum(i**d * c for i, c in per_scale.items())
     volume_sum = P.volume_d * Fraction(weighted, n**d)
     return CopyCensus(dilate=n, per_scale=per_scale, total=total, volume_sum=volume_sum)
 
 
-def copy_census(P: LatticePolytope, n: int) -> CopyCensus:
-    """Census of all horizontal lattice copies of P in nP, keyed by scale."""
-    _require_full_dimensional(P, "the copy census")
-    if n < 1:
-        raise ValueError(f"census resolution must be a positive integer, got {n}")
-    return _census(P, n, _dilate_counts(P, n))
+def _polynomials(P: LatticePolytope):
+    """(L, H, N) for a full-dimensional P, each verified before it is returned.
+
+    L is the Ehrhart polynomial of P, and its d+3 counts are the only counts
+    of P. N(n) = vol(P) sum_{i<n} (n-i)^d L(i) is fitted through values read
+    off L. H(n) = L_Pyr(n - 1), the census total, comes from the pyramid's own
+    counts, so the leading coefficients of N and H rest on independent counts.
+    """
+    d = P.ambient_dim
+    L = ehrhart_polynomial(P).poly
+    values = [int(L.evaluate(t)) for t in range(2 * d + 3)]
+
+    def sample(n: int) -> Fraction:
+        return P.volume_d * sum((n - i) ** d * values[i] for i in range(n))
+
+    support = list(range(2 * d + 2))
+    N = RationalPolynomial.lagrange(support, [sample(n) for n in support])
+    for n in (2 * d + 2, 2 * d + 3):
+        if N.evaluate(n) != sample(n):
+            raise InternalConsistencyError(
+                f"numerator polynomial disagrees with a fresh sample at n={n}"
+            )
+    expected_lead = Fraction(factorial(d) ** 2, factorial(2 * d + 1)) * P.volume_d**2
+    if N.degree != 2 * d + 1 or N.leading_coefficient != expected_lead:
+        raise TheoremViolationError(
+            f"numerator leading coefficient {N.leading_coefficient} != "
+            f"d!d!/(2d+1)! vol^2 = {expected_lead}"
+        )
+
+    H = ehrhart_polynomial(pyramid(P)).poly.shift_argument(-1)
+    for t in range(1, d + 4):
+        expected = sum(values[:t])
+        if H.evaluate(t) != expected:
+            raise InternalConsistencyError(
+                f"copy polynomial disagrees with the census at n={t}: "
+                f"{H.evaluate(t)} != {expected}"
+            )
+    if H.constant_term != 0:
+        raise InternalConsistencyError(
+            f"copy polynomial constant term {H.constant_term} != 0"
+        )
+    if H.degree != d + 1 or H.leading_coefficient != P.volume_d / (d + 1):
+        raise InternalConsistencyError(
+            "copy polynomial shape mismatch: degree "
+            f"{H.degree}, lead {H.leading_coefficient}"
+        )
+
+    limit = N.leading_coefficient / H.leading_coefficient
+    closed = P.volume_d / comb(2 * d + 1, d)
+    if limit != closed:
+        raise TheoremViolationError(
+            f"symbolic limit {limit} != closed form vol/C(2d+1,d) = {closed}"
+        )
+    return L, H, N
 
 
 def copy_polynomial(P: LatticePolytope) -> RationalPolynomial:
     """The polynomial H_P with H_P(n) = census total at resolution n.
 
     Computed as the Ehrhart polynomial of the pyramid over P evaluated at
-    t - 1, then verified against explicit census totals. Its constant term
-    vanishes and its leading coefficient is vol(P)/(d+1).
+    t - 1, then verified against the census totals sum_{t<n} L_P(t). Its
+    constant term vanishes and its leading coefficient is vol(P)/(d+1).
     """
     _require_full_dimensional(P, "the copy polynomial")
-    return _copy_polynomial(P, _dilate_counts(P, P.ambient_dim + 3))
-
-
-def _copy_polynomial(P: LatticePolytope, counts: list[int]) -> RationalPolynomial:
-    """copy_polynomial, checked against censuses read from a table with len >= d+3."""
-    d = P.ambient_dim
-    poly = ehrhart_polynomial(pyramid(P)).poly.shift_argument(-1)
-    for t in range(1, d + 4):
-        expected = _census(P, t, counts).total
-        if poly.evaluate(t) != expected:
-            raise InternalConsistencyError(
-                f"copy polynomial disagrees with the census at n={t}: "
-                f"{poly.evaluate(t)} != {expected}"
-            )
-    if poly.constant_term != 0:
-        raise InternalConsistencyError(
-            f"copy polynomial constant term {poly.constant_term} != 0"
-        )
-    if poly.degree != d + 1 or poly.leading_coefficient != P.volume_d / (d + 1):
-        raise InternalConsistencyError(
-            "copy polynomial shape mismatch: degree "
-            f"{poly.degree}, lead {poly.leading_coefficient}"
-        )
-    return poly
+    return _polynomials(P)[1]
 
 
 def mu_ratio(P: LatticePolytope, n: int) -> Fraction:
@@ -143,32 +175,7 @@ def numerator_polynomial(P: LatticePolytope) -> RationalPolynomial:
     leading coefficient d! d! / (2d+1)! * vol(P)^2.
     """
     _require_full_dimensional(P, "the numerator polynomial")
-    return _numerator_polynomial(P, _dilate_counts(P, 2 * P.ambient_dim + 3))
-
-
-def _numerator_polynomial(P: LatticePolytope, counts: list[int]) -> RationalPolynomial:
-    """numerator_polynomial, sampled from a count table with len >= 2d+3."""
-    d = P.ambient_dim
-
-    def sample(n: int) -> Fraction:
-        return P.volume_d * sum((n - i) ** d * counts[i] for i in range(n))
-
-    support = list(range(2 * d + 2))
-    poly = RationalPolynomial.lagrange(support, [sample(n) for n in support])
-    for n in (2 * d + 2, 2 * d + 3):
-        if poly.evaluate(n) != sample(n):
-            raise InternalConsistencyError(
-                f"numerator polynomial disagrees with a fresh sample at n={n}"
-            )
-    expected_lead = (
-        Fraction(factorial(d) * factorial(d), factorial(2 * d + 1)) * P.volume_d**2
-    )
-    if poly.degree != 2 * d + 1 or poly.leading_coefficient != expected_lead:
-        raise TheoremViolationError(
-            f"numerator leading coefficient {poly.leading_coefficient} != "
-            f"d!d!/(2d+1)! vol^2 = {expected_lead}"
-        )
-    return poly
+    return _polynomials(P)[2]
 
 
 def mu_limit_symbolic(P: LatticePolytope) -> Fraction:
@@ -178,35 +185,18 @@ def mu_limit_symbolic(P: LatticePolytope) -> Fraction:
     since it would falsify the identity this package exists to check.
     """
     _require_full_dimensional(P, "the symbolic limit")
-    return _mu_limit(P, _dilate_counts(P, 2 * P.ambient_dim + 3))
-
-
-def _mu_limit(P: LatticePolytope, counts: list[int]) -> Fraction:
-    """mu_limit_symbolic, with P's counts read from a table with len >= 2d+3.
-
-    The census polynomial still comes from the pyramid's own counts, so the
-    two leading coefficients are derived from independent counts.
-    """
-    d = P.ambient_dim
-    numerator = _numerator_polynomial(P, counts)
-    census_poly = _copy_polynomial(P, counts)
-    limit = numerator.leading_coefficient / census_poly.leading_coefficient
-    closed = P.volume_d / comb(2 * d + 1, d)
-    if limit != closed:
-        raise TheoremViolationError(
-            f"symbolic limit {limit} != closed form vol/C(2d+1,d) = {closed}"
-        )
-    return limit
+    _, H, N = _polynomials(P)
+    return N.leading_coefficient / H.leading_coefficient
 
 
 def mu_report(P: LatticePolytope, n_max: int) -> MuReport:
     """Ratio sequence for n = 1..n_max plus the exact symbolic limit.
 
-    Each dilate of P is counted once: one table of L_P(t) for
-    t < max(n_max, 2d+3) feeds every census, the numerator samples and the
-    census-total checks, so a report costs n_max + O(d) lattice-point counts
-    (plus d+4 counts of the pyramid over P). A lower-dimensional polytope
-    yields the all-zero report: every miniature has ambient volume 0.
+    ratio(n) = N(n) / (n^d H(n)) is read off the verified numerator and census
+    polynomials, so a report costs d+3 lattice-point counts of P and d+4 of
+    the pyramid over P whatever n_max is, plus O(n_max) polynomial
+    evaluations. A lower-dimensional polytope yields the all-zero report:
+    every miniature has ambient volume 0.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
@@ -220,15 +210,12 @@ def mu_report(P: LatticePolytope, n_max: int) -> MuReport:
         )
     d = P.ambient_dim
     closed = P.volume_d / comb(2 * d + 1, d)
-    counts = _dilate_counts(P, max(n_max, 2 * d + 3))
-    ratios = []
-    for n in range(1, n_max + 1):
-        census = _census(P, n, counts)
-        ratios.append((n, census.volume_sum / census.total))
+    _, H, N = _polynomials(P)
+    ratios = [(n, N(n) / (n**d * H(n))) for n in range(1, n_max + 1)]
     bound = max(abs(r - closed) * n for n, r in ratios)
     return MuReport(
         ratios=ratios,
-        symbolic_limit=_mu_limit(P, counts),
+        symbolic_limit=N.leading_coefficient / H.leading_coefficient,
         closed_form=closed,
         bound_constant=bound,
     )

@@ -207,6 +207,20 @@ def _census_monotone() -> SuiteResult:
     return SuiteResult("miniatures.census-monotone", True, "totals strictly increase")
 
 
+def _census_vs_counts() -> SuiteResult:
+    # L_P(n - i) read off the Ehrhart polynomial vs box scans past every node
+    for name, P in corpus.full_corpus():
+        if not P.is_full_dimensional:
+            continue
+        n = 2 * P.ambient_dim + 5
+        per_scale = copy_census(P, n).per_scale
+        if any(per_scale[i] != count_points(P, n - i) for i in range(1, n + 1)):
+            return SuiteResult("miniatures.census-vs-counts", False, name)
+    return SuiteResult(
+        "miniatures.census-vs-counts", True, "polynomial census = box scan, n = 2d+5"
+    )
+
+
 def _oracle_equivalence() -> SuiteResult:
     for name, P in corpus.full_corpus():
         if not P.is_full_dimensional:
@@ -261,6 +275,7 @@ _SUITES = [
     _main_theorem,
     _numerator_lead,
     _census_monotone,
+    _census_vs_counts,
     _oracle_equivalence,
     _sum_prod,
     _inclusion_exclusion,

@@ -23,11 +23,11 @@ from latticemini import (
     mu_ratio,
     numerator_polynomial,
     pyramid,
-    sum_prod_poly,
     translate,
     volume,
 )
 from latticemini import corpus
+from latticemini.oracle import sum_prod_poly
 
 
 def report(num: int, text: str) -> None:

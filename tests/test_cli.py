@@ -1,19 +1,32 @@
 """CLI surface: parsing, formats, presets, footers, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from latticemini import PolytopeParseError, TheoremViolationError, to_json_dict
+from latticemini import PolytopeParseError, TheoremViolationError
 from latticemini import cli
 from latticemini.cli import decimal_string, main, parse_polytope
+from latticemini.geometry import to_json_dict
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def module_command(*argv):
+    """`python -m latticemini ARGV` with this checkout's src/ on the path."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return [sys.executable, "-m", "latticemini", *argv], env
 
 
 class TestParsePolytope:
@@ -257,36 +270,27 @@ def test_all_presets_resolve(capsys):
 
 
 def test_module_entry_point():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "latticemini", "copies", "--preset", "triangle", "--n", "4"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    argv, env = module_command("copies", "--preset", "triangle", "--n", "4")
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "total = 20" in proc.stdout
 
 
+def test_large_census_reads_the_polynomial():
+    # 3000 scales, each L(n - i) read off the Ehrhart polynomial of the cube
+    argv, env = module_command(
+        "copies", "--preset", "cube3", "--n", "3000", "--format", "json"
+    )
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["total"] == (3000 * 3001 // 2) ** 2
+
+
 @pytest.mark.parametrize("lines_read", [0, 2])
 def test_closed_pipe_exits_without_traceback(lines_read):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    argv, env = module_command("mu", "--preset", "square", "--n-max", "400")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "latticemini", "mu", "--preset", "square", "--n-max", "400"],
+        argv,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,

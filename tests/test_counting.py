@@ -5,14 +5,13 @@ import pytest
 from conftest import brute_count
 from latticemini import (
     NotFullDimensionalError,
-    bounding_box,
     count_points,
     dilate,
     from_vertices,
     translate,
 )
 from latticemini import corpus
-from latticemini.counting import count_points_partitioned
+from latticemini.counting import bounding_box, count_points_partitioned
 
 
 def test_square_corners():

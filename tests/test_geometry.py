@@ -14,11 +14,11 @@ from latticemini import (
     dilate,
     from_vertices,
     pyramid,
-    to_json_dict,
     translate,
     volume,
 )
 from latticemini import corpus
+from latticemini.geometry import to_json_dict
 
 
 class TestFromVertices:

@@ -11,7 +11,6 @@ from latticemini import (
     NotFullDimensionalError,
     ResourceLimitError,
     UnsupportedInputError,
-    copies_with_scale,
     copy_census,
     copy_polynomial,
     count_points,
@@ -27,7 +26,9 @@ from latticemini import (
     translate,
 )
 from latticemini import corpus
+from latticemini import ehrhart as ehrhart_module
 from latticemini import miniatures as miniatures_module
+from latticemini.miniatures import copies_with_scale
 
 
 class TestCopiesWithScale:
@@ -139,15 +140,29 @@ class TestCopyPolynomial:
                 assert (c * scale).denominator == 1, (name, c)
 
     def test_census_bug_detected(self, monkeypatch):
-        real = miniatures_module.count_points
+        real = ehrhart_module.count_points
 
         def corrupted(P, t, interior=False):
             value = real(P, t, interior)
             return value + 1 if t == 2 else value
 
-        monkeypatch.setattr(miniatures_module, "count_points", corrupted)
+        monkeypatch.setattr(ehrhart_module, "count_points", corrupted)
         with pytest.raises(InternalConsistencyError):
             copy_polynomial(corpus.square())
+
+    def test_pyramid_disagreeing_with_census_detected(self, monkeypatch):
+        # Reeve(2) has the square pyramid's volume 1/3, degree 3 and no
+        # interior point, so only the check of H(n) against sum_{t<n} L(t)
+        # can tell its shifted enumerator from the census polynomial.
+        square = corpus.square()
+        real = miniatures_module.pyramid
+
+        def swapped(P):
+            return corpus.reeve(2) if P == square else real(P)
+
+        monkeypatch.setattr(miniatures_module, "pyramid", swapped)
+        with pytest.raises(InternalConsistencyError, match="disagrees with the census"):
+            copy_polynomial(square)
 
 
 class TestMuRatio:

@@ -18,9 +18,9 @@ from latticemini import (
     enumerate_copies,
     from_vertices,
     mu_ratio,
-    sum_prod_poly,
 )
 from latticemini import corpus
+from latticemini.oracle import sum_prod_poly
 
 
 def test_unit_segment_witnesses():

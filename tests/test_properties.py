@@ -5,7 +5,6 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from latticemini import (
-    bounding_box,
     check_reciprocity,
     count_points,
     dilate,
@@ -15,7 +14,7 @@ from latticemini import (
     translate,
     volume,
 )
-from latticemini.counting import count_points_partitioned
+from latticemini.counting import bounding_box, count_points_partitioned
 
 coordinate = st.integers(min_value=-4, max_value=4)
 

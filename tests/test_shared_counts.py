@@ -1,12 +1,16 @@
-"""The shared count table of mu_report and the facet-built pyramid, against the
-routes they replaced: per-n censuses that count their own dilates, and the
-hull of the base plus the apex."""
+"""Censuses and ratio sequences read off the Ehrhart polynomial, and the
+facet-built pyramid, against the routes they replaced: per-n censuses, box-scan
+counts of every dilate, and the hull of the base plus the apex."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from latticemini import (
+    copy_census,
     corpus,
+    count_points,
     from_vertices,
     mu_limit_symbolic,
     mu_ratio,
@@ -55,9 +59,9 @@ def test_lower_dimensional_pyramid_uses_hull():
     assert pyramid(P) == hull_pyramid(P)
 
 
-def _point_sets(d):
+def _point_sets(d, radius=3):
     return st.lists(
-        st.tuples(*([st.integers(min_value=-3, max_value=3)] * d)),
+        st.tuples(*([st.integers(min_value=-radius, max_value=radius)] * d)),
         min_size=d + 1,
         max_size=d + 3,
     )
@@ -71,7 +75,8 @@ def test_pyramid_matches_hull_property(pts):
     assert pyramid(P) == hull_pyramid(P)
 
 
-def test_mu_report_count_budget(monkeypatch):
+@pytest.fixture
+def count_calls(monkeypatch):
     calls = []
     real = miniatures.count_points
 
@@ -81,6 +86,65 @@ def test_mu_report_count_budget(monkeypatch):
 
     monkeypatch.setattr(miniatures, "count_points", counted)
     monkeypatch.setattr(ehrhart, "count_points", counted)
+    return calls
+
+
+def test_mu_report_count_budget(count_calls):
     mu_report(corpus.pentagon(), 40)
-    assert len(calls) <= 50
-    assert len(set(calls)) == len(calls)
+    assert len(count_calls) <= 50
+    assert len(set(count_calls)) == len(count_calls)
+
+
+def test_mu_report_counts_do_not_grow_with_n_max(count_calls):
+    mu_report(corpus.pentagon(), 40)
+    at_40 = len(count_calls)
+    count_calls.clear()
+    mu_report(corpus.pentagon(), 400)
+    # d+3 counts of P and d+4 of the pyramid over P, for d = 2
+    assert at_40 == len(count_calls) == 11
+
+
+def test_copy_census_counts_do_not_grow_with_n(count_calls):
+    copy_census(corpus.reeve(5), 60)
+    assert len(count_calls) == 6  # d+3 for d = 3
+
+
+# -- the polynomial route against the box scan, past every interpolation node --
+
+# the 4-cube under the unimodular map x -> (x1 + x2, x2 + x3, x3 - x4, x4)
+SHEARED = (
+    "sheared-box1111",
+    from_vertices(
+        [(a + b, b + c, c - e, e) for a, b, c, e in corpus.box(1, 1, 1, 1).vertices]
+    ),
+)
+DIFF_CASES = [(name, P) for name, P, _ in CASES] + [SHEARED]
+
+
+def assert_polynomial_route_matches_box_scan(P):
+    """Census and ratios at n = 2d+5, past every interpolation node, against
+    a box scan of every dilate."""
+    d = P.ambient_dim
+    n = 2 * d + 5
+    counts = [count_points(P, t) for t in range(n)]
+    assert copy_census(P, n).per_scale == {i: counts[n - i] for i in range(1, n + 1)}
+    ratios = []
+    for m in range(1, n + 1):
+        per_scale = [(i, counts[m - i]) for i in range(1, m + 1)]
+        weighted = sum(i**d * c for i, c in per_scale)
+        total = sum(c for _, c in per_scale)
+        ratios.append((m, P.volume_d * Fraction(weighted, m**d) / total))
+    assert mu_report(P, n).ratios == ratios
+
+
+@pytest.mark.parametrize("name, P", DIFF_CASES, ids=[c[0] for c in DIFF_CASES])
+def test_polynomial_route_matches_box_scan(name, P):
+    assert_polynomial_route_matches_box_scan(P)
+
+
+@given(pts=st.one_of(*(_point_sets(d, 2) for d in (1, 2, 3))))
+@settings(max_examples=25, deadline=None)
+def test_polynomial_route_matches_box_scan_property(pts):
+    P = from_vertices(pts)
+    assume(P.is_full_dimensional)
+    assert_polynomial_route_matches_box_scan(P)
