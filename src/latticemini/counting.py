@@ -1,12 +1,20 @@
 """Exact lattice-point enumeration for dilates of lattice polytopes.
 
-This is the package's hot loop. The scan walks the integer bounding box of
-tP coordinate by coordinate, keeping per-half-space partial sums, prunes a
-prefix as soon as some fully-determined constraint fails, and resolves the
-innermost axis in closed form: the slice of a convex body along a lattice
-line is an interval, so its integer count is floor(hi) - ceil(lo) + 1.
-All arithmetic is plain Python int; interior counts reuse the closed-count
-kernel with each integer bound tightened by one.
+This is the package's hot loop: project-and-lift enumeration, as in Normaliz
+(Bruns-Ichim), which is Fourier-Motzkin projection applied to lattice
+points. P's axes are ordered by bounding-box width, narrowest first
+(outermost). Once the first k coordinates are fixed, the facets of P's
+projection onto the first k+1 axes, scaled by t, give the range of the next
+coordinate in closed form, so every prefix enumerated lies in the projection
+of tP and no dead part of the bounding box is walked. The last axis is
+resolved per line: the slice of a convex body along a lattice line is an
+interval, so its integer count is floor(hi) - ceil(lo) + 1. The projections
+do not depend on t; they are built once per polytope object
+(`LatticePolytope.lift_plan`) and reused by every dilate, closed and
+interior. Partial sums are carried down the levels incrementally, in plain
+Python ints. An interior count tightens each facet of P by one and keeps
+the other projection facets closed; those admit a superset of the interior
+points' prefixes, so the count stays exact.
 """
 
 from __future__ import annotations
@@ -25,103 +33,61 @@ class LatticeCount:
     interior_count: int
 
 
-def bounding_box(P: LatticePolytope) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Componentwise (min, max) over the vertices; contains every point of P."""
-    mins = tuple(min(v[j] for v in P.vertices) for j in range(P.ambient_dim))
-    maxs = tuple(max(v[j] for v in P.vertices) for j in range(P.ambient_dim))
-    return mins, maxs
+def _lift(levels, slack, k: int) -> int:
+    """Points of the tower above one prefix y_0..y_{k-1}, from level k on.
 
-
-def _scan(constraints, lows, highs) -> int:
-    """Count integer points of the box satisfying normal . x <= bound for all."""
-    d = len(lows)
-    # index of the last coordinate each normal touches, for prefix pruning
-    final = [max(j for j, c in enumerate(a) if c) for a, _ in constraints]
-
-    def rec(level: int, partials) -> int:
-        if level == d - 1:
-            lo, hi = lows[level], highs[level]
-            for (a, c), s in zip(constraints, partials):
-                ad = a[level]
-                rem = c - s
-                if ad == 0:
-                    if rem < 0:
-                        return 0
-                elif ad > 0:
-                    q = rem // ad
-                    if q < hi:
-                        hi = q
-                else:
-                    q = -(rem // -ad)
-                    if q > lo:
-                        lo = q
-            return hi - lo + 1 if hi >= lo else 0
-        total = 0
-        for x in range(lows[level], highs[level] + 1):
-            nxt = []
-            feasible = True
-            for ci, ((a, c), s) in enumerate(zip(constraints, partials)):
-                s2 = s + a[level] * x
-                if s2 > c and final[ci] <= level:
-                    feasible = False
-                    break
-                nxt.append(s2)
-            if feasible:
-                total += rec(level + 1, nxt)
-        return total
-
-    return rec(0, [0] * len(constraints))
-
-
-def _scan_input(P: LatticePolytope, t: int, interior: bool):
-    """The constraints and box of the scan of tP; None when tP is one point.
-
-    Validates t and rejects a lower-dimensional P of positive dimension.
+    `slack` holds b - (a . prefix) for every row of levels k and above, in
+    plan order. The range of y_k is read off level k's rows in closed form;
+    fixing y_k = x takes a_k x off the slack of every row above. The last two
+    levels are fused into one loop over the lines of the last axis.
     """
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise ValueError(f"dilation factor must be a nonnegative integer, got {t!r}")
-    if P.dim == 0:
-        return None
-    _require_full_dimensional(P, "lattice-point counting")
-    if t == 0:
-        return None
-    shrink = 1 if interior else 0
-    constraints = [(h.normal, t * h.offset - shrink) for h in P.halfspaces]
-    mins, maxs = bounding_box(P)
-    return constraints, [t * m for m in mins], [t * m for m in maxs]
+    upper, lower, above = levels[k]
+    hi = min([s // a for s, a in zip(slack, upper)])
+    lo = -min([s // a for s, a in zip(slack[len(upper):], lower)])
+    if k == len(levels) - 1:
+        return hi - lo + 1 if hi >= lo else 0
+    rest = slack[len(upper) + len(lower):]
+    if k < len(levels) - 2:
+        total = 0
+        for x in range(lo, hi + 1):
+            total += _lift(levels, [s - a * x for s, a in zip(rest, above)], k + 1)
+        return total
+    # the hot loop: one pass per line, plain loops (no comprehension per line)
+    line_upper, line_lower, _ = levels[k + 1]
+    n = len(line_upper)
+    (s0, a0, e0), *tops = zip(rest, above, line_upper)
+    (s1, a1, e1), *bottoms = zip(rest[n:], above[n:], line_lower)
+    total = 0
+    for x in range(lo, hi + 1):
+        top = (s0 - a0 * x) // e0
+        for s, a, e in tops:
+            q = (s - a * x) // e
+            if q < top:
+                top = q
+        bottom = (s1 - a1 * x) // e1
+        for s, a, e in bottoms:
+            q = (s - a * x) // e
+            if q < bottom:
+                bottom = q
+        # the line holds -bottom <= y <= top
+        if top + bottom >= 0:
+            total += top + bottom + 1
+    return total
 
 
 def count_points(P: LatticePolytope, t: int, interior: bool = False) -> int:
     """Exact number of integer points in the closed (or open) dilate tP."""
-    scan = _scan_input(P, t, interior)
-    if scan is None:
+    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        raise ValueError(f"dilation factor must be a nonnegative integer, got {t!r}")
+    if P.dim == 0:
         return 0 if interior else 1
-    return _scan(*scan)
-
-
-def count_points_partitioned(
-    P: LatticePolytope, t: int, interior: bool = False, slabs: int = 2
-) -> int:
-    """Count by splitting the box into disjoint slabs along the first axis.
-
-    Bit-identical to count_points by construction; exists to pin down the
-    determinism contract of the enumeration kernel.
-    """
-    if slabs < 1:
-        raise ValueError("slabs must be >= 1")
-    scan = _scan_input(P, t, interior)
-    if scan is None:
-        return 0 if interior else 1
-    constraints, lows, highs = scan
-    width = highs[0] - lows[0] + 1
-    step = -(-width // slabs)
-    total = 0
-    start = lows[0]
-    while start <= highs[0]:
-        stop = min(start + step - 1, highs[0])
-        total += _scan(constraints, [start] + lows[1:], [stop] + highs[1:])
-        start = stop + 1
-    return total
+    _require_full_dimensional(P, "lattice-point counting")
+    plan = P.lift_plan
+    if interior:
+        slack = [t * b - s for b, s in zip(plan.offsets, plan.strict)]
+    else:
+        slack = [t * b for b in plan.offsets]
+    return _lift(plan.levels, slack, 0)
 
 
 def count_table(P: LatticePolytope, t_max: int) -> list[LatticeCount]:

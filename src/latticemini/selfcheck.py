@@ -9,12 +9,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 from . import corpus
-from .counting import count_points, count_points_partitioned
+from .counting import count_points
 from .ehrhart import check_reciprocity, ehrhart_polynomial
-from .geometry import dilate, from_vertices, pyramid, translate, volume
+from .geometry import (
+    bounding_box,
+    contains,
+    dilate,
+    from_vertices,
+    pyramid,
+    translate,
+    volume,
+)
 from .miniatures import (
     copy_census,
     copy_polynomial,
@@ -120,18 +129,25 @@ def _product_law() -> SuiteResult:
     return SuiteResult("counting.product-law", True, "[0,1]^d gives (t+1)^d")
 
 
-def _partition_determinism() -> SuiteResult:
+def _lift_vs_membership() -> SuiteResult:
+    # the projection tower against a membership test of every box point
     for name, P in corpus.full_corpus():
         if not P.is_full_dimensional:
             continue
-        for t in (1, 3):
-            want = count_points(P, t)
-            for slabs in (2, 3, 7):
-                if count_points_partitioned(P, t, slabs=slabs) != want:
+        mins, maxs = bounding_box(P)
+        for t in range(1, 4):
+            box = [range(t * lo, t * hi + 1) for lo, hi in zip(mins, maxs)]
+            tP = dilate(P, t)
+            for interior in (False, True):
+                want = sum(1 for x in product(*box) if contains(tP, x, strict=interior))
+                if count_points(P, t, interior=interior) != want:
                     return SuiteResult(
-                        "counting.partition-determinism", False, f"{name}, t={t}"
+                        "counting.lift-vs-membership", False,
+                        f"{name}, t={t}, interior={interior}",
                     )
-    return SuiteResult("counting.partition-determinism", True, "slab sums identical")
+    return SuiteResult(
+        "counting.lift-vs-membership", True, "closed and interior, t = 1..3"
+    )
 
 
 def _ehrhart_shape() -> SuiteResult:
@@ -208,7 +224,7 @@ def _census_monotone() -> SuiteResult:
 
 
 def _census_vs_counts() -> SuiteResult:
-    # L_P(n - i) read off the Ehrhart polynomial vs box scans past every node
+    # L_P(n - i) read off the Ehrhart polynomial vs direct counts past every node
     for name, P in corpus.full_corpus():
         if not P.is_full_dimensional:
             continue
@@ -217,7 +233,7 @@ def _census_vs_counts() -> SuiteResult:
         if any(per_scale[i] != count_points(P, n - i) for i in range(1, n + 1)):
             return SuiteResult("miniatures.census-vs-counts", False, name)
     return SuiteResult(
-        "miniatures.census-vs-counts", True, "polynomial census = box scan, n = 2d+5"
+        "miniatures.census-vs-counts", True, "polynomial census = direct counts, n = 2d+5"
     )
 
 
@@ -268,7 +284,7 @@ _SUITES = [
     _pyramid_volume,
     _count_monotonicity,
     _product_law,
-    _partition_determinism,
+    _lift_vs_membership,
     _ehrhart_shape,
     _reciprocity,
     _pyramid_identity,

@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 import pytest
 
-from latticemini import corpus
+from latticemini import NotFullDimensionalError, corpus
 
 
 def solve_exact(matrix, rhs):
@@ -74,6 +74,76 @@ def brute_count(P, t: int) -> int:
     highs = [max(v[j] for v in verts) for j in range(d)]
     boxes = [range(lo, hi + 1) for lo, hi in zip(lows, highs)]
     return sum(1 for x in product(*boxes) if in_hull(verts, x))
+
+
+def _box_scan(constraints, lows, highs) -> int:
+    """Integer points of the box satisfying normal . x <= bound for all.
+
+    Walks the box axis by axis in index order, prunes a prefix once a
+    constraint that touches no later axis fails, and resolves the last axis
+    in closed form: floor(hi) - ceil(lo) + 1.
+    """
+    d = len(lows)
+    final = [max(j for j, c in enumerate(a) if c) for a, _ in constraints]
+
+    def rec(level: int, partials) -> int:
+        if level == d - 1:
+            lo, hi = lows[level], highs[level]
+            for (a, c), s in zip(constraints, partials):
+                ad = a[level]
+                rem = c - s
+                if ad == 0:
+                    if rem < 0:
+                        return 0
+                elif ad > 0:
+                    hi = min(hi, rem // ad)
+                else:
+                    lo = max(lo, -(rem // -ad))
+            return hi - lo + 1 if hi >= lo else 0
+        total = 0
+        for x in range(lows[level], highs[level] + 1):
+            nxt = []
+            for ci, ((a, c), s) in enumerate(zip(constraints, partials)):
+                s2 = s + a[level] * x
+                if s2 > c and final[ci] <= level:
+                    break
+                nxt.append(s2)
+            else:
+                total += rec(level + 1, nxt)
+        return total
+
+    return rec(0, [0] * len(constraints))
+
+
+def count_points_partitioned(P, t: int, interior: bool = False, slabs: int = 2) -> int:
+    """Box-scan count of tP, the box split into `slabs` slabs along axis 0.
+
+    The reference for `count_points`: it walks the whole bounding box of tP
+    in index order and shares no code with the projection tower.
+    """
+    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        raise ValueError(f"dilation factor must be a nonnegative integer, got {t!r}")
+    if slabs < 1:
+        raise ValueError("slabs must be >= 1")
+    if P.dim == 0 or t == 0:
+        return 0 if interior else 1
+    if not P.is_full_dimensional:
+        raise NotFullDimensionalError("the box scan requires a full-dimensional polytope")
+    shrink = 1 if interior else 0
+    constraints = [(h.normal, t * h.offset - shrink) for h in P.halfspaces]
+    lows = [t * min(v[j] for v in P.vertices) for j in range(P.ambient_dim)]
+    highs = [t * max(v[j] for v in P.vertices) for j in range(P.ambient_dim)]
+    step = -(-(highs[0] - lows[0] + 1) // slabs)
+    total = 0
+    for start in range(lows[0], highs[0] + 1, step):
+        stop = min(start + step - 1, highs[0])
+        total += _box_scan(constraints, [start] + lows[1:], [stop] + highs[1:])
+    return total
+
+
+def box_scan_count(P, t: int, interior: bool = False) -> int:
+    """Box-scan count of tP in one slab."""
+    return count_points_partitioned(P, t, interior, slabs=1)
 
 
 def shoelace(ring) -> Fraction:

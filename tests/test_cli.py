@@ -286,6 +286,21 @@ def test_large_census_reads_the_polynomial():
     assert json.loads(proc.stdout)["total"] == (3000 * 3001 // 2) ** 2
 
 
+def test_thin_triangle_from_the_cli():
+    # the narrow axis goes outermost: three lines, not 10^9 t
+    argv, env = module_command(
+        "count", "--input", '{"vertices":[[0,0],[1000000000,0],[0,1]]}', "--t-max", "2"
+    )
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [
+        "t,closed,interior",
+        "0,1,0",
+        "1,1000000002,0",
+        "2,3000000003,999999999",
+    ]
+
+
 @pytest.mark.parametrize("lines_read", [0, 2])
 def test_closed_pipe_exits_without_traceback(lines_read):
     argv, env = module_command("mu", "--preset", "square", "--n-max", "400")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import brute_count
+from conftest import brute_count, count_points_partitioned
 from latticemini import (
     NotFullDimensionalError,
     count_points,
@@ -11,7 +11,7 @@ from latticemini import (
     translate,
 )
 from latticemini import corpus
-from latticemini.counting import bounding_box, count_points_partitioned
+from latticemini.geometry import bounding_box
 
 
 def test_square_corners():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import count_points_partitioned
 from latticemini import (
     check_reciprocity,
     count_points,
@@ -14,7 +15,7 @@ from latticemini import (
     translate,
     volume,
 )
-from latticemini.counting import bounding_box, count_points_partitioned
+from latticemini.geometry import bounding_box
 
 coordinate = st.integers(min_value=-4, max_value=4)
 

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import box_scan_count
 from latticemini import (
     copy_census,
     corpus,
-    count_points,
     from_vertices,
     mu_limit_symbolic,
     mu_ratio,
@@ -126,7 +126,7 @@ def assert_polynomial_route_matches_box_scan(P):
     a box scan of every dilate."""
     d = P.ambient_dim
     n = 2 * d + 5
-    counts = [count_points(P, t) for t in range(n)]
+    counts = [box_scan_count(P, t) for t in range(n)]
     assert copy_census(P, n).per_scale == {i: counts[n - i] for i in range(1, n + 1)}
     ratios = []
     for m in range(1, n + 1):
