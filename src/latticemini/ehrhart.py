@@ -3,8 +3,9 @@
 For a full-dimensional lattice polytope the lattice-point enumerator is a
 degree-d polynomial with constant term 1, leading coefficient equal to the
 volume, and d! times every coefficient integral. Interpolation uses the
-smallest valid support (t = 0..d) and re-verifies against fresh counts at
-two extra nodes, so a silent counting or interpolation bug cannot survive.
+smallest valid support (t = 0..d), by Newton's forward differences, and
+re-verifies against fresh counts at two extra nodes, so a silent counting or
+interpolation bug cannot survive.
 The h*-vector of every polynomial is checked to be nonnegative (Stanley 1980).
 """
 
@@ -32,9 +33,7 @@ def ehrhart_polynomial(P: LatticePolytope) -> EhrhartPolynomial:
     """Exact degree-d Ehrhart polynomial of a full-dimensional lattice polytope."""
     _require_full_dimensional(P, "the Ehrhart polynomial")
     d = P.ambient_dim
-    nodes = list(range(d + 1))
-    values = [count_points(P, t) for t in nodes]
-    poly = RationalPolynomial.lagrange(nodes, values)
+    poly = RationalPolynomial.interpolate([count_points(P, t) for t in range(d + 1)])
     for t in (d + 1, d + 2):
         expected = count_points(P, t)
         if poly.evaluate(t) != expected:

@@ -3,7 +3,8 @@
 A polytope is built from integer vertices only. Construction computes the
 minimal vertex set, the affine dimension, the facet half-spaces (when the
 polytope is full-dimensional in its ambient space) and the exact volume by
-simplicial decomposition. Everything is immutable and arithmetic is exact:
+a simplicial decomposition read off the facet-vertex incidences of that one
+hull. Everything is immutable and arithmetic is exact:
 arbitrary-precision integers and Fractions, never floats.
 """
 
@@ -231,33 +232,34 @@ def _integer_chart(points) -> list[tuple[int, ...]]:
     return [tuple(p[c] for c in columns) for p in points]
 
 
-def _triangulate(points, k: int) -> list[tuple[int, ...]]:
-    """Index (k+1)-tuples of simplices tiling the hull of full-rank `points`.
+def _triangulate(face: frozenset[int], k: int, incidences) -> list[tuple[int, ...]]:
+    """Index (k+1)-tuples of simplices tiling the k-face `face` of a polytope.
 
-    Star triangulation: cone the lex-smallest vertex over recursively
-    triangulated facets that do not contain it.
+    `face` is a set of indices into the lex-sorted vertices, and `incidences`
+    holds the vertex-index set of each facet. Every face is an intersection
+    of facets, so the facets of `face` are the inclusion-maximal proper sets
+    face & F: each facet G of the face is face & F for a facet F through G
+    but not through the face, and every other proper intersection lies in
+    some G. Star triangulation: cone the lex-smallest vertex, min(face),
+    over the triangulated facets of the face that do not contain it. No
+    coordinates are read, so nothing is re-hulled.
     """
-    if k == 0:
-        return [(0,)]
-    halfspaces = _facet_halfspaces(points, k)
-    vidx = _vertex_indices(points, halfspaces, k)
-    if len(vidx) == k + 1:
-        return [tuple(vidx)]
-    apex = min(vidx, key=lambda i: points[i])
+    if len(face) == k + 1:
+        return [tuple(sorted(face))]
+    apex = min(face)
+    cuts = {face & F for F in incidences} - {face}
     simplices = []
-    for h in halfspaces:
-        if la.dot(h.normal, points[apex]) == h.offset:
+    for G in cuts:
+        if apex in G or any(G < H for H in cuts):
             continue
-        face = [i for i in vidx if la.dot(h.normal, points[i]) == h.offset]
-        chart = _integer_chart([points[i] for i in face])
-        for sub in _triangulate(chart, k - 1):
-            simplices.append((apex,) + tuple(face[j] for j in sub))
+        simplices += [(apex,) + sub for sub in _triangulate(G, k - 1, incidences)]
     return simplices
 
 
-def _volume_by_triangulation(vertices, d: int) -> Fraction:
+def _volume_by_triangulation(vertices, incidences) -> Fraction:
+    d = len(vertices[0])
     total = 0
-    for simplex in _triangulate(list(vertices), d):
+    for simplex in _triangulate(frozenset(range(len(vertices))), d, incidences):
         base = vertices[simplex[0]]
         rows = [la.vsub(vertices[i], base) for i in simplex[1:]]
         total += abs(la.det(rows))
@@ -281,7 +283,11 @@ def from_vertices(points) -> LatticePolytope:
     verts = tuple(uniq[i] for i in _vertex_indices(chart, halfspaces, r))
     if r < d:
         return LatticePolytope(d, verts, (), r, Fraction(0))
-    vol = _volume_by_triangulation(verts, d)
+    incidences = [
+        frozenset(i for i, v in enumerate(verts) if h.value(v) == h.offset)
+        for h in halfspaces
+    ]
+    vol = _volume_by_triangulation(verts, incidences)
     return LatticePolytope(d, verts, tuple(halfspaces), d, vol)
 
 

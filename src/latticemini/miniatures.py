@@ -110,8 +110,7 @@ def _polynomials(P: LatticePolytope):
     def sample(n: int) -> Fraction:
         return P.volume_d * sum((n - i) ** d * values[i] for i in range(n))
 
-    support = list(range(2 * d + 2))
-    N = RationalPolynomial.lagrange(support, [sample(n) for n in support])
+    N = RationalPolynomial.interpolate([sample(n) for n in range(2 * d + 2)])
     for n in (2 * d + 2, 2 * d + 3):
         if N.evaluate(n) != sample(n):
             raise InternalConsistencyError(

@@ -94,8 +94,7 @@ def sum_prod_poly(p: int, q: int) -> RationalPolynomial:
     def sample(n: int) -> int:
         return sum(i**p * (n - i) ** q for i in range(1, n + 1))
 
-    support = list(range(deg + 1))
-    poly = RationalPolynomial.lagrange(support, [sample(n) for n in support])
+    poly = RationalPolynomial.interpolate([sample(n) for n in range(deg + 1)])
     check = deg + 1
     if poly.evaluate(check) != sample(check):
         raise TheoremViolationError(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, lcm
 from typing import Iterable, Sequence
 
 
@@ -57,32 +57,6 @@ class RationalPolynomial:
     def __call__(self, t) -> Fraction:
         return self.evaluate(t)
 
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(_canonical(out))
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + other.scaled(-1)
-
-    def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return RationalPolynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RationalPolynomial(_canonical(out))
-
-    def scaled(self, k) -> "RationalPolynomial":
-        k = Fraction(k)
-        return RationalPolynomial(_canonical(c * k for c in self.coeffs))
-
     def shift_argument(self, delta) -> "RationalPolynomial":
         """Return the polynomial q with q(t) = p(t + delta), exactly."""
         delta = Fraction(delta)
@@ -99,25 +73,33 @@ class RationalPolynomial:
         return RationalPolynomial(_canonical(out))
 
     @classmethod
-    def lagrange(cls, nodes: Sequence, values: Sequence) -> "RationalPolynomial":
-        """Exact Lagrange interpolation through (nodes[i], values[i])."""
-        if len(nodes) != len(values):
-            raise ValueError("nodes and values must have equal length")
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("interpolation nodes must be distinct")
-        result = cls(())
-        for i, (xi, yi) in enumerate(zip(nodes, values)):
-            if yi == 0:
-                continue
-            basis = cls((Fraction(1),))
-            denom = Fraction(1)
-            for j, xj in enumerate(nodes):
-                if j == i:
-                    continue
-                basis = basis * cls(_canonical((Fraction(-xj), Fraction(1))))
-                denom *= Fraction(xi) - Fraction(xj)
-            result = result + basis.scaled(Fraction(yi) / denom)
-        return result
+    def interpolate(cls, values: Sequence) -> "RationalPolynomial":
+        """The polynomial p of degree < m = len(values) with p(t) = values[t].
+
+        Newton's forward differences: p(t) = sum_k D^k p(0) C(t, k). Each
+        falling factorial t(t-1)...(t-k+1) is expanded from the one before in
+        integers, the sum is kept over the common denominator q (m-1)!, where
+        q clears the values' denominators, and each coefficient becomes one
+        Fraction at the end.
+        """
+        if not values:
+            return cls(())
+        m = len(values)
+        q = lcm(*(Fraction(v).denominator for v in values))
+        diffs = [int(Fraction(v) * q) for v in values]
+        weight = factorial(m - 1)  # (m-1)!/k! for the current k
+        scale = q * weight
+        out = [0] * m
+        falling = [1]  # t(t-1)...(t-k+1), lowest degree first
+        for k in range(m):
+            lead = diffs[0] * weight
+            if lead:
+                for j, c in enumerate(falling):
+                    out[j] += lead * c
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
+            weight //= k + 1
+        return cls(_canonical(Fraction(c, scale) for c in out))
 
     def coeff_strings(self) -> list[str]:
         """Coefficients low-to-high as decimal-free rational strings."""

@@ -1,19 +1,24 @@
 """Shared fixtures and independent brute-force oracles.
 
-The helpers here deliberately avoid the library's half-space machinery:
-membership goes through convex-combination feasibility (Caratheodory over
-vertex subsets) with a locally written exact solver, so counting tests have
-a second, independent route to the same numbers.
+The counting helpers here deliberately avoid the library's half-space
+machinery: membership goes through convex-combination feasibility
+(Caratheodory over vertex subsets) with a locally written exact solver, so
+counting tests have a second, independent route to the same numbers. The
+triangulation oracle re-hulls every face it visits in its own chart, so it
+shares no face-lattice code with `geometry._triangulate`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import factorial
 
 import pytest
 
-from latticemini import NotFullDimensionalError, corpus
+from latticemini import NotFullDimensionalError, corpus, from_vertices
+from latticemini import _linalg as la
+from latticemini.geometry import _facet_halfspaces, _integer_chart, _vertex_indices
 
 
 def solve_exact(matrix, rhs):
@@ -144,6 +149,51 @@ def count_points_partitioned(P, t: int, interior: bool = False, slabs: int = 2) 
 def box_scan_count(P, t: int, interior: bool = False) -> int:
     """Box-scan count of tP in one slab."""
     return count_points_partitioned(P, t, interior, slabs=1)
+
+
+def chart_triangulation(points, k: int) -> list[tuple[int, ...]]:
+    """Index (k+1)-tuples of simplices tiling the hull of full-rank `points`.
+
+    The reference for `geometry._triangulate`: star triangulation that
+    hulls `points` by the k-subset scan, cones the lex-smallest vertex over
+    the facets that do not contain it, and recurses into each facet through
+    its integer chart, re-hulling it there.
+    """
+    if k == 0:
+        return [(0,)]
+    halfspaces = _facet_halfspaces(points, k)
+    vidx = _vertex_indices(points, halfspaces, k)
+    if len(vidx) == k + 1:
+        return [tuple(vidx)]
+    apex = min(vidx, key=lambda i: points[i])
+    simplices = []
+    for h in halfspaces:
+        if la.dot(h.normal, points[apex]) == h.offset:
+            continue
+        face = [i for i in vidx if la.dot(h.normal, points[i]) == h.offset]
+        chart = _integer_chart([points[i] for i in face])
+        for sub in chart_triangulation(chart, k - 1):
+            simplices.append((apex,) + tuple(face[j] for j in sub))
+    return simplices
+
+
+def chart_volume(points) -> Fraction:
+    """Volume of the hull of full-rank integer `points` by the chart oracle."""
+    d = len(points[0])
+    total = sum(abs(simplex_det(points, s)) for s in chart_triangulation(points, d))
+    return Fraction(total, factorial(d))
+
+
+def simplex_det(points, simplex) -> int:
+    """Determinant of the edge vectors of a simplex given by point indices."""
+    base = points[simplex[0]]
+    return la.det([la.vsub(points[i], base) for i in simplex[1:]])
+
+
+def cross_polytope(d: int):
+    return from_vertices(
+        [tuple(s if j == i else 0 for j in range(d)) for i in range(d) for s in (1, -1)]
+    )
 
 
 def shoelace(ring) -> Fraction:

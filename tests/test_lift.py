@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import box_scan_count
+from conftest import box_scan_count, cross_polytope
 from latticemini import (
     HalfSpace,
     LatticePolytope,
@@ -48,12 +48,6 @@ def oracle_t_max(P, cap: int = 4) -> int:
         if lines <= ORACLE_LINES:
             return t
     return 0
-
-
-def cross_polytope(d: int):
-    return from_vertices(
-        [tuple(s if j == i else 0 for j in range(d)) for i in range(d) for s in (1, -1)]
-    )
 
 
 def unit_cube(d: int) -> LatticePolytope:

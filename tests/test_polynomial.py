@@ -1,8 +1,9 @@
-"""RationalPolynomial: canonical form, exact arithmetic, interpolation."""
+"""RationalPolynomial: canonical form, exact evaluation, interpolation."""
 
 from fractions import Fraction
+from math import lcm
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticemini import RationalPolynomial
 
@@ -34,15 +35,6 @@ def test_exact_evaluation_at_rationals():
     assert p.evaluate(-1) == 0
 
 
-def test_arithmetic():
-    p = RationalPolynomial.from_coeffs([1, 1])
-    q = RationalPolynomial.from_coeffs([-1, 1])
-    assert (p * q).coeffs == (-1, 0, 1)
-    assert (p + q).coeffs == (0, 2)
-    assert (p - p).coeffs == ()
-    assert p.scaled(Fraction(1, 2)).coeffs == (Fraction(1, 2), Fraction(1, 2))
-
-
 def test_shift_argument():
     p = RationalPolynomial.from_coeffs([0, 0, 1])  # t^2
     shifted = p.shift_argument(-1)  # (t-1)^2
@@ -53,14 +45,36 @@ def test_shift_argument():
 
 def test_lagrange_recovers_polynomial():
     p = RationalPolynomial.from_coeffs([Fraction(1, 6), -2, 0, Fraction(3, 4)])
-    nodes = [0, 1, 2, 3]
-    rebuilt = RationalPolynomial.lagrange(nodes, [p.evaluate(n) for n in nodes])
+    rebuilt = RationalPolynomial.interpolate([p.evaluate(n) for n in range(4)])
     assert rebuilt == p
 
 
-def test_lagrange_rejects_duplicate_nodes():
-    with pytest.raises(ValueError):
-        RationalPolynomial.lagrange([0, 0, 1], [1, 1, 2])
+fractions = st.fractions(min_value=-100, max_value=100, max_denominator=50)
+
+
+@given(st.lists(fractions, min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_interpolate_recovers_fraction_coefficients(coeffs):
+    # values at t = 0..deg, as Fractions, determine a degree-deg polynomial
+    p = RationalPolynomial.from_coeffs(coeffs)
+    values = [p.evaluate(t) for t in range(len(coeffs))]
+    assert RationalPolynomial.interpolate(values) == p
+
+
+@given(st.lists(fractions, min_size=1, max_size=12), st.integers(1, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_interpolate_recovers_from_integer_values(coeffs, scale):
+    # p scaled by the common denominator of its values takes integers at 0..deg
+    p = RationalPolynomial.from_coeffs(coeffs)
+    values = [p.evaluate(t) for t in range(len(coeffs))]
+    q = lcm(*(v.denominator for v in values)) * scale
+    ints = [int(v * q) for v in values]
+    rebuilt = RationalPolynomial.interpolate(ints)
+    assert rebuilt == RationalPolynomial.from_coeffs(c * q for c in p.coeffs)
+
+
+def test_interpolate_nothing_is_zero():
+    assert RationalPolynomial.interpolate([]) == RationalPolynomial.zero()
 
 
 def test_coeff_strings_decimal_free():
