@@ -3,14 +3,12 @@
 `echelon` is Bareiss's (1968) fraction-free Gaussian elimination. After a
 step every entry below the pivot rows is a minor of the input, so each
 division by the previous pivot is exact and no Fraction is ever formed.
-`det`, `rank`, `null_vector` and `solve` are read off its result. Input
+`det`, `rank` and `null_vector` are read off its result. Input
 must be integer: on Fractions the floor division would silently be wrong.
 Sized for the tiny systems this package solves (d <= 5, a handful of rows).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def dot(a, b):
@@ -96,10 +94,3 @@ def null_vector(rows, k: int):
         x[c] = -sum(row[j] * x[j] for j in range(c + 1, k)) // row[c]
     return tuple(x)
 
-
-def solve(matrix, rhs):
-    """Solve a square integer system exactly; a Fraction tuple, or None if singular."""
-    x = null_vector([list(row) + [-b] for row, b in zip(matrix, rhs)], len(matrix) + 1)
-    if x is None or x[-1] == 0:
-        return None
-    return tuple(Fraction(v, x[-1]) for v in x[:-1])

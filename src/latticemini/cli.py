@@ -126,11 +126,16 @@ def _csv_writer(out):
     return csv.writer(out, lineterminator="\n")
 
 
+def _write_json(doc, out) -> None:
+    json.dump(doc, out, indent=2)
+    out.write("\n")
+
+
 def _cmd_count(config: RunConfig, out) -> int:
     P = _resolve_polytope(config)
     rows = count_table(P, config.t_max)
     if config.format == "json":
-        json.dump(
+        _write_json(
             {
                 "counts": [
                     {"t": r.dilate, "closed": r.closed_count, "interior": r.interior_count}
@@ -138,9 +143,7 @@ def _cmd_count(config: RunConfig, out) -> int:
                 ]
             },
             out,
-            indent=2,
         )
-        out.write("\n")
     else:
         writer = _csv_writer(out)
         writer.writerow(["t", "closed", "interior"])
@@ -153,8 +156,7 @@ def _cmd_ehrhart(config: RunConfig, out) -> int:
     P = _resolve_polytope(config)
     poly = ehrhart_polynomial(P).poly
     if config.format == "json":
-        json.dump({"coeffs": poly.coeff_strings()}, out, indent=2)
-        out.write("\n")
+        _write_json({"coeffs": poly.coeff_strings()}, out)
     elif config.format == "csv":
         writer = _csv_writer(out)
         writer.writerow(["k", "coeff"])
@@ -171,7 +173,7 @@ def _cmd_copies(config: RunConfig, out) -> int:
     census = copy_census(P, config.n)
     d = P.ambient_dim
     if config.format == "json":
-        json.dump(
+        _write_json(
             {
                 "n": census.dilate,
                 "per_scale": {str(i): c for i, c in sorted(census.per_scale.items())},
@@ -179,9 +181,7 @@ def _cmd_copies(config: RunConfig, out) -> int:
                 "volume_sum": str(census.volume_sum),
             },
             out,
-            indent=2,
         )
-        out.write("\n")
         return EXIT_OK
     writer = _csv_writer(out)
     writer.writerow(["i", "count", "weighted"])
@@ -200,7 +200,7 @@ def _cmd_mu(config: RunConfig, out) -> int:
     P = _resolve_polytope(config)
     report = mu_report(P, config.n_max)
     if config.format == "json":
-        json.dump(
+        _write_json(
             {
                 "ratios": [
                     {"n": n, "num": str(r.numerator), "den": str(r.denominator),
@@ -212,9 +212,7 @@ def _cmd_mu(config: RunConfig, out) -> int:
                 "bound_constant": str(report.bound_constant),
             },
             out,
-            indent=2,
         )
-        out.write("\n")
         return EXIT_OK
     writer = _csv_writer(out)
     writer.writerow(["n", "ratio_num", "ratio_den", "ratio_decimal"])
@@ -231,8 +229,7 @@ def _cmd_pie(config: RunConfig, out) -> int:
     parts = _resolve_polytope_list(config)
     value = mu_inclusion_exclusion(parts)
     if config.format == "json":
-        json.dump({"mu": str(value), "parts": len(parts)}, out, indent=2)
-        out.write("\n")
+        _write_json({"mu": str(value), "parts": len(parts)}, out)
     elif config.format == "csv":
         writer = _csv_writer(out)
         writer.writerow(["mu"])
@@ -251,9 +248,8 @@ def _cmd_oracle(config: RunConfig, out) -> int:
         for w in witnesses:
             per_scale[w.scale] = per_scale.get(w.scale, 0) + 1
         if config.format == "json":
-            json.dump({"per_scale": {str(i): c for i, c in sorted(per_scale.items())},
-                       "total": len(witnesses)}, out, indent=2)
-            out.write("\n")
+            _write_json({"per_scale": {str(i): c for i, c in sorted(per_scale.items())},
+                         "total": len(witnesses)}, out)
         else:
             writer = _csv_writer(out)
             writer.writerow(["i", "count"])
@@ -261,12 +257,9 @@ def _cmd_oracle(config: RunConfig, out) -> int:
                 writer.writerow([i, per_scale[i]])
         return EXIT_OK
     if config.format == "json":
-        json.dump(
-            {"witnesses": [{"i": w.scale, "a": list(w.shift)} for w in witnesses]},
-            out,
-            indent=2,
+        _write_json(
+            {"witnesses": [{"i": w.scale, "a": list(w.shift)} for w in witnesses]}, out
         )
-        out.write("\n")
     else:
         writer = _csv_writer(out)
         writer.writerow(["i"] + [f"a{j + 1}" for j in range(d)])

@@ -4,8 +4,10 @@ A polytope is built from integer vertices only. Construction computes the
 minimal vertex set, the affine dimension, the facet half-spaces (when the
 polytope is full-dimensional in its ambient space) and the exact volume by
 a simplicial decomposition read off the facet-vertex incidences of that one
-hull. Everything is immutable and arithmetic is exact:
-arbitrary-precision integers and Fractions, never floats.
+hull. One extreme-ray scan, `_extreme_rays`, does both exact conversions:
+points to facet half-spaces here, and half-spaces to vertices for the
+intersections of `miniatures`. Everything is immutable and arithmetic is
+exact: arbitrary-precision integers and Fractions, never floats.
 """
 
 from __future__ import annotations
@@ -162,51 +164,54 @@ def _validated_points(points) -> list[tuple[int, ...]]:
     return pts
 
 
-def _primitive(normal: tuple[int, ...], offset: int) -> tuple[tuple[int, ...], int]:
-    g = 0
-    for c in normal:
-        g = gcd(g, abs(c))
-    # g divides the offset because the hyperplane passes through a lattice point
-    return tuple(c // g for c in normal), offset // g
+def _extreme_rays(rows, k: int) -> list[tuple[int, ...]]:
+    """Primitive extreme rays of the pointed cone {y in R^k : r.y <= 0 for each row r}.
 
-
-def _facet_halfspaces(points, k: int) -> list[HalfSpace]:
-    """All facet half-spaces of the hull of integer `points` spanning R^k.
-
-    Scans the k-subsets of points, forms the spanning hyperplane exactly and
-    keeps it iff every point lies weakly on one side. A hyperplane already
-    tested, through another k-subset of its points, is skipped before the
-    side test.
+    Scans the (k-1)-subsets of the integer rows: an extreme ray spans the
+    null space of k-1 independent rows it is tight on. Each candidate is
+    divided by the gcd of its entries and given a positive first nonzero
+    entry; a candidate already tested, through another subset, is skipped.
+    It is kept, with its sign flipped if need be, iff every row lies weakly
+    on one side of it. By Minkowski-Weyl duality this one scan turns points
+    into facets and half-spaces into vertices.
     """
     found = set()
     tested = set()
-    for idxs in combinations(range(len(points)), k):
-        base = points[idxs[0]]
-        diffs = [la.vsub(points[i], base) for i in idxs[1:]]
-        normal = la.null_vector(diffs, k)
-        if normal is None:
+    for subset in combinations(rows, k - 1):
+        ray = la.null_vector(subset, k)
+        if ray is None:
             continue
-        normal, offset = _primitive(normal, la.dot(normal, base))
-        if next(c for c in normal if c) < 0:
-            normal, offset = tuple(-c for c in normal), -offset
-        if (normal, offset) in tested:
+        g = gcd(*ray)
+        if next(c for c in ray if c) < 0:
+            g = -g
+        ray = tuple(c // g for c in ray)
+        if ray in tested:
             continue
-        tested.add((normal, offset))
+        tested.add(ray)
         above = below = False
-        for p in points:
-            v = la.dot(normal, p)
-            if v > offset:
+        for r in rows:
+            v = la.dot(r, ray)
+            if v > 0:
                 above = True
-            elif v < offset:
+            elif v < 0:
                 below = True
             if above and below:
                 break
         if above and below:
             continue
-        if above:
-            normal, offset = tuple(-c for c in normal), -offset
-        found.add((normal, offset))
-    return [HalfSpace(n, b) for n, b in sorted(found)]
+        found.add(tuple(-c for c in ray) if above else ray)
+    return sorted(found)
+
+
+def _facet_halfspaces(points, k: int) -> list[HalfSpace]:
+    """All facet half-spaces of the hull of integer `points` spanning R^k.
+
+    A facet a.x <= b is an extreme ray (a, b) of the cone of rows (p, -1).
+    The normal is primitive: b = a.p for a lattice point p, so gcd(a, b)
+    = gcd(a).
+    """
+    rays = _extreme_rays([(*p, -1) for p in points], k + 1)
+    return [HalfSpace(y[:-1], y[-1]) for y in rays]
 
 
 def _vertex_indices(points, halfspaces, k: int) -> list[int]:

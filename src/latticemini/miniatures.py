@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from . import _linalg as la
 from .counting import count_points
@@ -28,8 +28,8 @@ from .errors import (
     UnsupportedInputError,
 )
 from .geometry import (
-    HalfSpace,
     LatticePolytope,
+    _extreme_rays,
     _require_full_dimensional,
     from_vertices,
     pyramid,
@@ -95,17 +95,18 @@ def copy_census(P: LatticePolytope, n: int) -> CopyCensus:
     return CopyCensus(dilate=n, per_scale=per_scale, total=total, volume_sum=volume_sum)
 
 
-def _polynomials(P: LatticePolytope):
-    """(L, H, N) for a full-dimensional P, each verified before it is returned.
+def _ehrhart_values(P: LatticePolytope) -> list[int]:
+    """L_P(t) for t = 0..2d+2, read off the verified Ehrhart polynomial of P.
 
-    L is the Ehrhart polynomial of P, and its d+3 counts are the only counts
-    of P. N(n) = vol(P) sum_{i<n} (n-i)^d L(i) is fitted through values read
-    off L. H(n) = L_Pyr(n - 1), the census total, comes from the pyramid's own
-    counts, so the leading coefficients of N and H rest on independent counts.
+    Its d+3 counts are the only counts of P behind the census and numerator.
     """
-    d = P.ambient_dim
     L = ehrhart_polynomial(P).poly
-    values = [int(L.evaluate(t)) for t in range(2 * d + 3)]
+    return [int(L.evaluate(t)) for t in range(2 * P.ambient_dim + 3)]
+
+
+def _numerator(P: LatticePolytope, values) -> RationalPolynomial:
+    """N(n) = vol(P) sum_{i<n} (n-i)^d L(i), fitted through values of L and verified."""
+    d = P.ambient_dim
 
     def sample(n: int) -> Fraction:
         return P.volume_d * sum((n - i) ** d * values[i] for i in range(n))
@@ -122,7 +123,16 @@ def _polynomials(P: LatticePolytope):
             f"numerator leading coefficient {N.leading_coefficient} != "
             f"d!d!/(2d+1)! vol^2 = {expected_lead}"
         )
+    return N
 
+
+def _census(P: LatticePolytope, values) -> RationalPolynomial:
+    """H(n) = L_Pyr(n - 1), the census total, verified against sums of values of L.
+
+    H comes from the pyramid's own counts, so the leading coefficients of N
+    and H rest on independent counts.
+    """
+    d = P.ambient_dim
     H = ehrhart_polynomial(pyramid(P)).poly.shift_argument(-1)
     for t in range(1, d + 4):
         expected = sum(values[:t])
@@ -140,14 +150,22 @@ def _polynomials(P: LatticePolytope):
             "copy polynomial shape mismatch: degree "
             f"{H.degree}, lead {H.leading_coefficient}"
         )
+    return H
 
+
+def _census_and_numerator(P: LatticePolytope):
+    """(H, N) for a full-dimensional P, each verified, and their limit checked."""
+    values = _ehrhart_values(P)
+    N = _numerator(P, values)
+    H = _census(P, values)
     limit = N.leading_coefficient / H.leading_coefficient
+    d = P.ambient_dim
     closed = P.volume_d / comb(2 * d + 1, d)
     if limit != closed:
         raise TheoremViolationError(
             f"symbolic limit {limit} != closed form vol/C(2d+1,d) = {closed}"
         )
-    return L, H, N
+    return H, N
 
 
 def copy_polynomial(P: LatticePolytope) -> RationalPolynomial:
@@ -158,7 +176,7 @@ def copy_polynomial(P: LatticePolytope) -> RationalPolynomial:
     constant term vanishes and its leading coefficient is vol(P)/(d+1).
     """
     _require_full_dimensional(P, "the copy polynomial")
-    return _polynomials(P)[1]
+    return _census(P, _ehrhart_values(P))
 
 
 def mu_ratio(P: LatticePolytope, n: int) -> Fraction:
@@ -174,7 +192,7 @@ def numerator_polynomial(P: LatticePolytope) -> RationalPolynomial:
     leading coefficient d! d! / (2d+1)! * vol(P)^2.
     """
     _require_full_dimensional(P, "the numerator polynomial")
-    return _polynomials(P)[2]
+    return _numerator(P, _ehrhart_values(P))
 
 
 def mu_limit_symbolic(P: LatticePolytope) -> Fraction:
@@ -184,7 +202,7 @@ def mu_limit_symbolic(P: LatticePolytope) -> Fraction:
     since it would falsify the identity this package exists to check.
     """
     _require_full_dimensional(P, "the symbolic limit")
-    _, H, N = _polynomials(P)
+    H, N = _census_and_numerator(P)
     return N.leading_coefficient / H.leading_coefficient
 
 
@@ -209,7 +227,7 @@ def mu_report(P: LatticePolytope, n_max: int) -> MuReport:
         )
     d = P.ambient_dim
     closed = P.volume_d / comb(2 * d + 1, d)
-    _, H, N = _polynomials(P)
+    H, N = _census_and_numerator(P)
     ratios = [(n, N(n) / (n**d * H(n))) for n in range(1, n_max + 1)]
     bound = max(abs(r - closed) * n for n, r in ratios)
     return MuReport(
@@ -220,48 +238,26 @@ def mu_report(P: LatticePolytope, n_max: int) -> MuReport:
     )
 
 
-def _dedupe_halfspaces(parts) -> list[HalfSpace]:
-    seen = {(h.normal, h.offset) for P in parts for h in P.halfspaces}
-    return [HalfSpace(n, b) for n, b in sorted(seen)]
-
-
-def _intersection_vertices(halfspaces, d: int) -> list[tuple[Fraction, ...]]:
-    """All extreme points of the (bounded) intersection of the half-spaces.
-
-    A feasible point with d linearly independent tight constraints is a
-    vertex, and every vertex arises from some d-subset, so scanning the
-    d-subsets is complete.
-    """
-    vertices = set()
-    for subset in combinations(halfspaces, d):
-        solution = la.solve([list(h.normal) for h in subset], [h.offset for h in subset])
-        if solution is None:
-            continue
-        if all(h.value(solution) <= h.offset for h in halfspaces):
-            vertices.add(solution)
-    return sorted(vertices)
-
-
 def _intersection_polytope(parts, d: int) -> LatticePolytope | None:
-    """Intersection of full-dimensional parts; None when empty or lower-dimensional."""
-    verts = _intersection_vertices(_dedupe_halfspaces(parts), d)
-    if not verts:
+    """Intersection of full-dimensional parts; None when empty or lower-dimensional.
+
+    Its vertices x/s are the extreme rays (x, s) of the cone a.x <= b s,
+    s >= 0, over the parts' half-spaces a.x <= b. The intersection is
+    bounded, so every ray has s > 0, and the rays span R^(d+1) iff it is
+    full-dimensional.
+    """
+    rows = {h.normal + (-h.offset,) for P in parts for h in P.halfspaces}
+    rays = _extreme_rays(sorted(rows) + [(0,) * d + (-1,)], d + 1)
+    if la.rank(rays) < d + 1:
         return None
-    # rank takes integers: clear the vertices' common denominator first
-    den = lcm(*(x.denominator for v in verts for x in v))
-    diffs = [[int((x - y) * den) for x, y in zip(v, verts[0])] for v in verts[1:]]
-    if la.rank(diffs) < d:
-        return None
-    integral = []
-    for v in verts:
-        for x in v:
-            if x.denominator != 1:
-                raise UnsupportedInputError(
-                    f"intersection has a non-lattice vertex {tuple(map(str, v))}; "
-                    "inclusion-exclusion is defined for lattice polytopes only"
-                )
-        integral.append(tuple(int(x) for x in v))
-    return from_vertices(integral)
+    for y in rays:
+        if any(c % y[-1] for c in y[:-1]):
+            vertex = tuple(str(Fraction(c, y[-1])) for c in y[:-1])
+            raise UnsupportedInputError(
+                f"intersection has a non-lattice vertex {vertex}; "
+                "inclusion-exclusion is defined for lattice polytopes only"
+            )
+    return from_vertices([tuple(c // y[-1] for c in y[:-1]) for y in rays])
 
 
 def mu_inclusion_exclusion(parts) -> Fraction:

@@ -274,7 +274,15 @@ def _inclusion_exclusion() -> SuiteResult:
     right = translate(corpus.square(), (1, 0))
     if mu_inclusion_exclusion([left, right]) != Fraction(2, 10):
         return SuiteResult("miniatures.inclusion-exclusion", False, "two-square tiling")
-    return SuiteResult("miniatures.inclusion-exclusion", True, "both tilings exact")
+    # [0,3]x[0,1]x[0,1] in three unit slabs under (x,y,z) -> (x+y, y, z): the
+    # sheared slabs have vertices where more than d half-spaces are tight
+    slabs = [
+        from_vertices([(x + i + y, y, z) for x, y, z in product((0, 1), repeat=3)])
+        for i in range(3)
+    ]
+    if mu_inclusion_exclusion(slabs) != Fraction(3, 35):
+        return SuiteResult("miniatures.inclusion-exclusion", False, "sheared 3-D slabs")
+    return SuiteResult("miniatures.inclusion-exclusion", True, "all three tilings exact")
 
 
 _SUITES = [

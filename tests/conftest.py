@@ -5,20 +5,27 @@ machinery: membership goes through convex-combination feasibility
 (Caratheodory over vertex subsets) with a locally written exact solver, so
 counting tests have a second, independent route to the same numbers. The
 triangulation oracle re-hulls every face it visits in its own chart, so it
-shares no face-lattice code with `geometry._triangulate`.
+shares no face-lattice code with `geometry._triangulate`. The hull and
+intersection oracles scan hyperplanes and vertices directly, by null
+vectors of point differences and by Fraction solves, not by extreme rays.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
-from latticemini import NotFullDimensionalError, corpus, from_vertices
+from latticemini import NotFullDimensionalError, UnsupportedInputError, corpus, from_vertices
 from latticemini import _linalg as la
-from latticemini.geometry import _facet_halfspaces, _integer_chart, _vertex_indices
+from latticemini.geometry import (
+    HalfSpace,
+    _facet_halfspaces,
+    _integer_chart,
+    _vertex_indices,
+)
 
 
 def solve_exact(matrix, rhs):
@@ -149,6 +156,62 @@ def count_points_partitioned(P, t: int, interior: bool = False, slabs: int = 2) 
 def box_scan_count(P, t: int, interior: bool = False) -> int:
     """Box-scan count of tP in one slab."""
     return count_points_partitioned(P, t, interior, slabs=1)
+
+
+def scan_facet_halfspaces(points, k: int) -> list[HalfSpace]:
+    """All facet half-spaces of the hull of integer `points` spanning R^k.
+
+    The reference for `geometry._facet_halfspaces`: scans the k-subsets of
+    points, forms the spanning hyperplane from the null vector of their
+    differences, makes it primitive with a positive first nonzero entry and
+    keeps it iff every point lies weakly on one side. A hyperplane already
+    tested, through another k-subset, is skipped.
+    """
+    found = set()
+    tested = set()
+    for idxs in combinations(range(len(points)), k):
+        base = points[idxs[0]]
+        normal = la.null_vector([la.vsub(points[i], base) for i in idxs[1:]], k)
+        if normal is None:
+            continue
+        g = 0
+        for c in normal:
+            g = gcd(g, abs(c))
+        if next(c for c in normal if c) < 0:
+            g = -g
+        # g divides the offset because the hyperplane passes through a lattice point
+        normal, offset = tuple(c // g for c in normal), la.dot(normal, base) // g
+        if (normal, offset) in tested:
+            continue
+        tested.add((normal, offset))
+        values = [la.dot(normal, p) for p in points]
+        if any(v > offset for v in values) and any(v < offset for v in values):
+            continue
+        if any(v > offset for v in values):
+            normal, offset = tuple(-c for c in normal), -offset
+        found.add((normal, offset))
+    return [HalfSpace(n, b) for n, b in sorted(found)]
+
+
+def solved_intersection(parts, d: int):
+    """Intersection of full-dimensional parts; None when empty or lower-dimensional.
+
+    The reference for `miniatures._intersection_polytope`: every d-subset of
+    the parts' half-spaces is solved over Fractions, and a feasible solution
+    is a vertex. The rank is taken over Fractions before the lattice test.
+    """
+    halfspaces = sorted({(h.normal, h.offset) for P in parts for h in P.halfspaces})
+    verts = set()
+    for subset in combinations(halfspaces, d):
+        x = solve_exact([list(n) for n, _ in subset], [b for _, b in subset])
+        if x is not None and all(la.dot(n, x) <= b for n, b in halfspaces):
+            verts.add(tuple(x))
+    verts = sorted(verts)
+    if not verts or rank_exact([la.vsub(v, verts[0]) for v in verts[1:]]) < d:
+        return None
+    if any(x.denominator != 1 for v in verts for x in v):
+        raise UnsupportedInputError("intersection has a non-lattice vertex")
+    return from_vertices([tuple(int(x) for x in v) for v in verts])
 
 
 def chart_triangulation(points, k: int) -> list[tuple[int, ...]]:

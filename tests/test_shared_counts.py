@@ -15,6 +15,7 @@ from latticemini import (
     mu_limit_symbolic,
     mu_ratio,
     mu_report,
+    numerator_polynomial,
     pyramid,
 )
 from latticemini import ehrhart, miniatures
@@ -107,6 +108,12 @@ def test_mu_report_counts_do_not_grow_with_n_max(count_calls):
 def test_copy_census_counts_do_not_grow_with_n(count_calls):
     copy_census(corpus.reeve(5), 60)
     assert len(count_calls) == 6  # d+3 for d = 3
+
+
+def test_numerator_counts_no_pyramid(count_calls):
+    numerator_polynomial(corpus.box(3, 2, 2))
+    assert len(count_calls) == 6  # d+3 counts of P, none in d+1 dimensions
+    assert all(len(vertices[0]) == 3 for vertices, _, _ in count_calls)
 
 
 # -- the polynomial route against the box scan, past every interpolation node --
