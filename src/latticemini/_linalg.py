@@ -3,7 +3,7 @@
 `echelon` is Bareiss's (1968) fraction-free Gaussian elimination. After a
 step every entry below the pivot rows is a minor of the input, so each
 division by the previous pivot is exact and no Fraction is ever formed.
-`det`, `rank` and `null_vector` are read off its result. Input
+`det` and `null_vector` are read off its result. Input
 must be integer: on Fractions the floor division would silently be wrong.
 Sized for the tiny systems this package solves (d <= 5, a handful of rows).
 """
@@ -68,11 +68,6 @@ def det(matrix):
     if len(pivots) < len(matrix):
         return 0
     return sign * work[-1][pivots[-1]]
-
-
-def rank(rows) -> int:
-    """Rank over Q of a list of equal-length integer vectors."""
-    return len(echelon(rows)[1])
 
 
 def null_vector(rows, k: int):

@@ -6,8 +6,10 @@ polytope is full-dimensional in its ambient space) and the exact volume by
 a simplicial decomposition read off the facet-vertex incidences of that one
 hull. One extreme-ray scan, `_extreme_rays`, does both exact conversions:
 points to facet half-spaces here, and half-spaces to vertices for the
-intersections of `miniatures`. Everything is immutable and arithmetic is
-exact: arbitrary-precision integers and Fractions, never floats.
+intersections of `miniatures`. It hands back, with each ray, the rows tight
+on it, and `_assembled` builds either kind of polytope from those
+incidences alone. Everything is immutable and arithmetic is exact:
+arbitrary-precision integers and Fractions, never floats.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def _lift_plan(P: LatticePolytope) -> LiftPlan:
     for k in range(d):
         if k < d - 1:
             shadow = sorted({v[: k + 1] for v in verts})
-            facets = [(h.normal, h.offset) for h in _facet_halfspaces(shadow, k + 1)]
+            facets = [(h.normal, h.offset) for h, _ in _facet_halfspaces(shadow, k + 1)]
         else:
             facets = sorted(own)
         pad = (0,) * (d - 1 - k)
@@ -164,7 +166,7 @@ def _validated_points(points) -> list[tuple[int, ...]]:
     return pts
 
 
-def _extreme_rays(rows, k: int) -> list[tuple[int, ...]]:
+def _extreme_rays(rows, k: int) -> list[tuple[tuple[int, ...], frozenset[int]]]:
     """Primitive extreme rays of the pointed cone {y in R^k : r.y <= 0 for each row r}.
 
     Scans the (k-1)-subsets of the integer rows: an extreme ray spans the
@@ -172,10 +174,12 @@ def _extreme_rays(rows, k: int) -> list[tuple[int, ...]]:
     divided by the gcd of its entries and given a positive first nonzero
     entry; a candidate already tested, through another subset, is skipped.
     It is kept, with its sign flipped if need be, iff every row lies weakly
-    on one side of it. By Minkowski-Weyl duality this one scan turns points
-    into facets and half-spaces into vertices.
+    on one side of it, and comes back in sorted order with the indices of
+    the rows tight on it, read off that side test. By Minkowski-Weyl
+    duality this one scan turns points into facets and half-spaces into
+    vertices, and it supplies every facet-vertex incidence.
     """
-    found = set()
+    found = {}
     tested = set()
     for subset in combinations(rows, k - 1):
         ray = la.null_vector(subset, k)
@@ -189,39 +193,61 @@ def _extreme_rays(rows, k: int) -> list[tuple[int, ...]]:
             continue
         tested.add(ray)
         above = below = False
-        for r in rows:
+        tight = []
+        for i, r in enumerate(rows):
             v = la.dot(r, ray)
             if v > 0:
                 above = True
             elif v < 0:
                 below = True
+            else:
+                tight.append(i)
             if above and below:
                 break
         if above and below:
             continue
-        found.add(tuple(-c for c in ray) if above else ray)
-    return sorted(found)
+        found[tuple(-c for c in ray) if above else ray] = frozenset(tight)
+    return sorted(found.items())
 
 
-def _facet_halfspaces(points, k: int) -> list[HalfSpace]:
-    """All facet half-spaces of the hull of integer `points` spanning R^k.
+def _facet_halfspaces(points, k: int) -> list[tuple[HalfSpace, frozenset[int]]]:
+    """Facets of the hull of integer `points` spanning R^k, with the points on each.
 
-    A facet a.x <= b is an extreme ray (a, b) of the cone of rows (p, -1).
-    The normal is primitive: b = a.p for a lattice point p, so gcd(a, b)
-    = gcd(a).
+    A facet a.x <= b is an extreme ray (a, b) of the cone of rows (p, -1),
+    and the indices of its points are the rows tight on it. The normal is
+    primitive: b = a.p for a lattice point p, so gcd(a, b) = gcd(a).
     """
     rays = _extreme_rays([(*p, -1) for p in points], k + 1)
-    return [HalfSpace(y[:-1], y[-1]) for y in rays]
+    return [(HalfSpace(y[:-1], y[-1]), on) for y, on in rays]
 
 
-def _vertex_indices(points, halfspaces, k: int) -> list[int]:
-    """Indices of points whose tight facet normals span R^k (the extreme points)."""
-    out = []
-    for i, p in enumerate(points):
-        tight = [h.normal for h in halfspaces if la.dot(h.normal, p) == h.offset]
-        if len(tight) >= k and la.rank(tight) == k:
-            out.append(i)
-    return out
+def _assembled(points, facets) -> LatticePolytope:
+    """The hull of distinct integer `points`, from its facets and the points on each.
+
+    `facets` pairs each facet, in a chart where the hull is full-dimensional,
+    with the indices of the points on it. A point is a vertex iff the facets
+    through it meet in it alone, as they meet in the smallest face that
+    holds it. A hull of lower dimension than the points has no half-spaces
+    and volume 0; otherwise the incidences, re-indexed onto the lex-sorted
+    vertices, give the volume by `_triangulate`.
+    """
+    meet = [None] * len(points)
+    for _, on in facets:
+        for i in on:
+            meet[i] = on if meet[i] is None else meet[i] & on
+    order = sorted((i for i, m in enumerate(meet) if m == {i}), key=points.__getitem__)
+    verts = tuple(points[i] for i in order)
+    d, r = len(points[0]), len(facets[0][0].normal)
+    if r < d:
+        return LatticePolytope(d, verts, (), r, Fraction(0))
+    index = {i: j for j, i in enumerate(order)}
+    incidences = [frozenset(index[i] for i in on if i in index) for _, on in facets]
+    total = 0
+    for simplex in _triangulate(frozenset(range(len(verts))), d, incidences):
+        base = verts[simplex[0]]
+        total += abs(la.det([la.vsub(verts[i], base) for i in simplex[1:]]))
+    vol = Fraction(total, factorial(d))
+    return LatticePolytope(d, verts, tuple(h for h, _ in facets), d, vol)
 
 
 def _integer_chart(points) -> list[tuple[int, ...]]:
@@ -261,16 +287,6 @@ def _triangulate(face: frozenset[int], k: int, incidences) -> list[tuple[int, ..
     return simplices
 
 
-def _volume_by_triangulation(vertices, incidences) -> Fraction:
-    d = len(vertices[0])
-    total = 0
-    for simplex in _triangulate(frozenset(range(len(vertices))), d, incidences):
-        base = vertices[simplex[0]]
-        rows = [la.vsub(vertices[i], base) for i in simplex[1:]]
-        total += abs(la.det(rows))
-    return Fraction(total, factorial(d))
-
-
 def from_vertices(points) -> LatticePolytope:
     """Convex hull of integer points as a LatticePolytope.
 
@@ -283,17 +299,7 @@ def from_vertices(points) -> LatticePolytope:
     if len(uniq) == 1:
         return LatticePolytope(d, (uniq[0],), (), 0, Fraction(0))
     chart = _integer_chart(uniq)
-    r = len(chart[0])
-    halfspaces = _facet_halfspaces(chart, r)
-    verts = tuple(uniq[i] for i in _vertex_indices(chart, halfspaces, r))
-    if r < d:
-        return LatticePolytope(d, verts, (), r, Fraction(0))
-    incidences = [
-        frozenset(i for i, v in enumerate(verts) if h.value(v) == h.offset)
-        for h in halfspaces
-    ]
-    vol = _volume_by_triangulation(verts, incidences)
-    return LatticePolytope(d, verts, tuple(halfspaces), d, vol)
+    return _assembled(uniq, _facet_halfspaces(chart, len(chart[0])))
 
 
 def dilate(P: LatticePolytope, k: int) -> LatticePolytope:
@@ -361,14 +367,3 @@ def pyramid(P: LatticePolytope) -> LatticePolytope:
         d + 1,
         P.volume_d / (d + 1),
     )
-
-
-def to_json_dict(P: LatticePolytope) -> dict:
-    """JSON-ready document: vertices plus derived half-spaces and volume."""
-    doc: dict = {"vertices": [list(v) for v in P.vertices]}
-    if P.halfspaces:
-        doc["halfspaces"] = [
-            {"normal": list(h.normal), "offset": h.offset} for h in P.halfspaces
-        ]
-    doc["volume"] = str(P.volume_d)
-    return doc

@@ -19,8 +19,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from . import _linalg as la
-from .counting import count_points
 from .errors import (
     InternalConsistencyError,
     ResourceLimitError,
@@ -28,7 +26,9 @@ from .errors import (
     UnsupportedInputError,
 )
 from .geometry import (
+    HalfSpace,
     LatticePolytope,
+    _assembled,
     _extreme_rays,
     _require_full_dimensional,
     from_vertices,
@@ -66,14 +66,6 @@ class MuReport:
     symbolic_limit: Fraction
     closed_form: Fraction
     bound_constant: Fraction
-
-
-def copies_with_scale(P: LatticePolytope, n: int, i: int) -> int:
-    """Number of shifts a with iP + a inside nP; equals L_P(n - i)."""
-    _require_full_dimensional(P, "copy counting")
-    if not 1 <= i <= n:
-        raise ValueError(f"scale factor must satisfy 1 <= i <= n, got i={i}, n={n}")
-    return count_points(P, n - i)
 
 
 def copy_census(P: LatticePolytope, n: int) -> CopyCensus:
@@ -242,22 +234,27 @@ def _intersection_polytope(parts, d: int) -> LatticePolytope | None:
     """Intersection of full-dimensional parts; None when empty or lower-dimensional.
 
     Its vertices x/s are the extreme rays (x, s) of the cone a.x <= b s,
-    s >= 0, over the parts' half-spaces a.x <= b. The intersection is
-    bounded, so every ray has s > 0, and the rays span R^(d+1) iff it is
-    full-dimensional.
+    s >= 0, over the parts' half-spaces a.x <= b; the intersection is
+    bounded, so every ray has s > 0. The same scan gives each half-space's
+    vertex set. A nonempty intersection is lower-dimensional iff some
+    half-space is tight at every vertex, and its facets are the half-spaces
+    whose nonempty vertex set is inclusion-maximal, so nothing is re-hulled.
     """
-    rows = {h.normal + (-h.offset,) for P in parts for h in P.halfspaces}
-    rays = _extreme_rays(sorted(rows) + [(0,) * d + (-1,)], d + 1)
-    if la.rank(rays) < d + 1:
+    rows = sorted({h.normal + (-h.offset,) for P in parts for h in P.halfspaces})
+    rays = _extreme_rays(rows + [(0,) * d + (-1,)], d + 1)
+    if not rays or frozenset.intersection(*(tight for _, tight in rays)):
         return None
-    for y in rays:
+    for y, _ in rays:
         if any(c % y[-1] for c in y[:-1]):
             vertex = tuple(str(Fraction(c, y[-1])) for c in y[:-1])
             raise UnsupportedInputError(
                 f"intersection has a non-lattice vertex {vertex}; "
                 "inclusion-exclusion is defined for lattice polytopes only"
             )
-    return from_vertices([tuple(c // y[-1] for c in y[:-1]) for y in rays])
+    on = [{i for i, (_, t) in enumerate(rays) if j in t} for j in range(len(rows))]
+    keep = [j for j, vs in enumerate(on) if vs and not any(vs < ws for ws in on)]
+    facets = [(HalfSpace(rows[j][:-1], -rows[j][-1]), on[j]) for j in keep]
+    return _assembled([tuple(c // y[-1] for c in y[:-1]) for y, _ in rays], facets)
 
 
 def mu_inclusion_exclusion(parts) -> Fraction:

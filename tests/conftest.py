@@ -7,7 +7,8 @@ counting tests have a second, independent route to the same numbers. The
 triangulation oracle re-hulls every face it visits in its own chart, so it
 shares no face-lattice code with `geometry._triangulate`. The hull and
 intersection oracles scan hyperplanes and vertices directly, by null
-vectors of point differences and by Fraction solves, not by extreme rays.
+vectors of point differences and by Fraction solves, not by extreme rays,
+and the vertex oracle tests the rank of each point's tight normals.
 """
 
 from __future__ import annotations
@@ -20,12 +21,7 @@ import pytest
 
 from latticemini import NotFullDimensionalError, UnsupportedInputError, corpus, from_vertices
 from latticemini import _linalg as la
-from latticemini.geometry import (
-    HalfSpace,
-    _facet_halfspaces,
-    _integer_chart,
-    _vertex_indices,
-)
+from latticemini.geometry import HalfSpace, _integer_chart
 
 
 def solve_exact(matrix, rhs):
@@ -214,6 +210,20 @@ def solved_intersection(parts, d: int):
     return from_vertices([tuple(int(x) for x in v) for v in verts])
 
 
+def rank_vertex_indices(points, halfspaces, k: int) -> list[int]:
+    """Indices of points whose tight facet normals span R^k (the extreme points).
+
+    The reference for the vertex rule of `geometry.from_vertices`: it tests
+    each point by the rank of its tight normals, not by facet incidences.
+    """
+    out = []
+    for i, p in enumerate(points):
+        tight = [h.normal for h in halfspaces if la.dot(h.normal, p) == h.offset]
+        if len(tight) >= k and rank_exact(tight) == k:
+            out.append(i)
+    return out
+
+
 def chart_triangulation(points, k: int) -> list[tuple[int, ...]]:
     """Index (k+1)-tuples of simplices tiling the hull of full-rank `points`.
 
@@ -224,8 +234,8 @@ def chart_triangulation(points, k: int) -> list[tuple[int, ...]]:
     """
     if k == 0:
         return [(0,)]
-    halfspaces = _facet_halfspaces(points, k)
-    vidx = _vertex_indices(points, halfspaces, k)
+    halfspaces = scan_facet_halfspaces(points, k)
+    vidx = rank_vertex_indices(points, halfspaces, k)
     if len(vidx) == k + 1:
         return [tuple(vidx)]
     apex = min(vidx, key=lambda i: points[i])

@@ -12,7 +12,6 @@ import pytest
 from latticemini import PolytopeParseError, TheoremViolationError
 from latticemini import cli
 from latticemini.cli import decimal_string, main, parse_polytope
-from latticemini.geometry import to_json_dict
 
 
 def run_cli(capsys, *argv):
@@ -52,7 +51,7 @@ class TestParsePolytope:
 
     def test_round_trip(self):
         first = parse_polytope('{"vertices": [[0,0],[2,0],[0,2],[1,1]]}')
-        again = parse_polytope(json.dumps(to_json_dict(first)))
+        again = parse_polytope(json.dumps({"vertices": [list(v) for v in first.vertices]}))
         assert again == first
 
 

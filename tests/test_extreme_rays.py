@@ -1,19 +1,27 @@
 """The extreme-ray scan against the subset-scan and Fraction oracles.
 
 `geometry._extreme_rays` turns points into facets (`_facet_halfspaces`) and
-half-spaces into vertices (`miniatures._intersection_polytope`). The
-oracles in conftest do each conversion on its own: hyperplanes through
-point differences, and vertices as Fraction solutions of d tight
-half-spaces.
+half-spaces into vertices (`miniatures._intersection_polytope`), and hands
+back the incidences both build their polytopes from. The oracles in
+conftest do each conversion on its own: hyperplanes through point
+differences, vertices by the rank of their tight facet normals, and
+vertices as Fraction solutions of d tight half-spaces.
 """
 
+import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from conftest import scan_facet_halfspaces, solved_intersection
-from latticemini import UnsupportedInputError, from_vertices
+from conftest import (
+    cross_polytope,
+    rank_vertex_indices,
+    scan_facet_halfspaces,
+    solved_intersection,
+)
+from latticemini import UnsupportedInputError, corpus, from_vertices, geometry, miniatures
 from latticemini import _linalg as la
 from latticemini.geometry import _extreme_rays, _facet_halfspaces, _integer_chart
 from latticemini.miniatures import _intersection_polytope
+from test_lift import unit_cube
 
 
 @st.composite
@@ -31,13 +39,19 @@ def test_facet_halfspaces_match_the_subset_scan(points):
     # charts of lower-dimensional sets included: 3 points in R^5 span a plane
     chart = _integer_chart(points)
     r = len(chart[0])
-    assert _facet_halfspaces(chart, r) == scan_facet_halfspaces(chart, r)
+    facets = _facet_halfspaces(chart, r)
+    halfspaces = scan_facet_halfspaces(chart, r)
+    assert [h for h, _ in facets] == halfspaces
+    for h, on in facets:
+        assert on == {i for i, p in enumerate(chart) if h.value(p) == h.offset}
+    vertices = [points[i] for i in rank_vertex_indices(chart, halfspaces, r)]
+    assert list(from_vertices(points).vertices) == vertices
 
 
 def test_rays_are_primitive_and_sorted():
     # the cone x >= 0, y >= 0 in R^2, written with redundant rows
     rays = _extreme_rays([(-2, 0), (0, -1), (-1, -1), (-3, 0)], 2)
-    assert rays == [(0, 1), (1, 0)]
+    assert rays == [((0, 1), {0, 3}), ((1, 0), {1})]
 
 
 def test_empty_cone_has_no_rays():
@@ -93,3 +107,42 @@ def test_flat_intersection_with_a_rational_vertex_is_none():
     assert _intersection_polytope([a, b], 3) is None
     assert solved_intersection([a, b], 3) is None
 
+
+def test_intersection_is_one_scan(monkeypatch):
+    scans, hulls = [], []
+    original = geometry._extreme_rays
+
+    def counted(rows, k):
+        scans.append(k)
+        return original(rows, k)
+
+    def hull(points):
+        hulls.append(points)
+        return geometry.from_vertices(points)
+
+    for module in (geometry, miniatures):
+        monkeypatch.setattr(module, "_extreme_rays", counted)
+    monkeypatch.setattr(miniatures, "from_vertices", hull)
+    # the unit cube cut by x + y + z <= 2: the cube without its corner (1, 1, 1)
+    simplex = corpus.simplex(3)
+    simplex = from_vertices([tuple(2 * c for c in v) for v in simplex.vertices])
+    cube = corpus.box(1, 1, 1)
+    cut = from_vertices(cube.vertices[:-1])
+    scans.clear()
+    assert _intersection_polytope([simplex, cube], 3) == cut
+    assert (scans, hulls) == ([4], [])
+
+
+ONE_PART = [(name, P) for name, P in corpus.full_corpus() if P.is_full_dimensional] + [
+    ("box1111", corpus.box(1, 1, 1, 1)),
+    ("cross4", cross_polytope(4)),
+    ("simplex5", corpus.simplex(5)),
+    ("cube5", unit_cube(5)),
+]
+
+
+@pytest.mark.parametrize("name, P", ONE_PART, ids=[c[0] for c in ONE_PART])
+def test_one_part_intersection_is_the_part(name, P):
+    # the 5-cube comes from its known facets: re-hulling its 32 vertices
+    # would take seconds, reading its facets' vertex sets does not
+    assert _intersection_polytope([P], P.ambient_dim) == P

@@ -18,7 +18,6 @@ from latticemini import (
     volume,
 )
 from latticemini import corpus
-from latticemini.geometry import to_json_dict
 
 
 class TestFromVertices:
@@ -250,9 +249,3 @@ class TestPyramid:
         assert oracle == Fraction(1, 3)
         assert volume(P) == oracle
 
-
-def test_json_dict_shape():
-    doc = to_json_dict(corpus.triangle())
-    assert doc["vertices"] == [[0, 0], [0, 1], [1, 0]]
-    assert doc["volume"] == "1/2"
-    assert {"normal": [1, 1], "offset": 1} in doc["halfspaces"]

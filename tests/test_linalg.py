@@ -53,7 +53,8 @@ def test_det_of_empty_matrix():
 @given(matrices())
 @settings(max_examples=150, deadline=None)
 def test_rank_matches_fraction_elimination(m):
-    assert la.rank(m) == rank_exact(m)
+    # the pivot count is the rank: the hull chart keeps the pivot columns
+    assert len(la.echelon(m)[1]) == rank_exact(m)
 
 
 @given(matrices())

@@ -28,31 +28,20 @@ from latticemini import (
 from latticemini import corpus
 from latticemini import ehrhart as ehrhart_module
 from latticemini import miniatures as miniatures_module
-from latticemini.miniatures import copies_with_scale
 
 
 class TestCopiesWithScale:
     def test_square_identity_copy(self):
-        assert copies_with_scale(corpus.square(), 4, 4) == 1
+        assert copy_census(corpus.square(), 4).per_scale[4] == 1
 
     def test_square_unit_copies(self):
-        assert copies_with_scale(corpus.square(), 4, 1) == 16
+        assert copy_census(corpus.square(), 4).per_scale[1] == 16
 
     def test_triangle_against_oracle(self):
         # every shift with P + a inside 3P, by explicit enumeration
         witnesses = enumerate_copies(corpus.triangle(), 3)
         assert sum(1 for w in witnesses if w.scale == 1) == 6
-        assert copies_with_scale(corpus.triangle(), 3, 1) == 6
-
-    def test_scale_out_of_range(self):
-        with pytest.raises(ValueError):
-            copies_with_scale(corpus.square(), 4, 5)
-        with pytest.raises(ValueError):
-            copies_with_scale(corpus.square(), 4, 0)
-
-    def test_lower_dimensional_rejected(self):
-        with pytest.raises(NotFullDimensionalError):
-            copies_with_scale(from_vertices([(0, 0), (1, 1)]), 2, 1)
+        assert copy_census(corpus.triangle(), 3).per_scale[1] == 6
 
 
 class TestCopyCensus:
