@@ -5,7 +5,8 @@ step every entry below the pivot rows is a minor of the input, so each
 division by the previous pivot is exact and no Fraction is ever formed.
 `det` and `null_vector` are read off its result. Input
 must be integer: on Fractions the floor division would silently be wrong.
-Sized for the tiny systems this package solves (d <= 5, a handful of rows).
+Sized for the small systems this package solves: one side of each matrix
+is at most d + 1, and hulls are tested up to d = 6.
 """
 
 from __future__ import annotations

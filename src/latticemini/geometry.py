@@ -4,12 +4,14 @@ A polytope is built from integer vertices only. Construction computes the
 minimal vertex set, the affine dimension, the facet half-spaces (when the
 polytope is full-dimensional in its ambient space) and the exact volume by
 a simplicial decomposition read off the facet-vertex incidences of that one
-hull. One extreme-ray scan, `_extreme_rays`, does both exact conversions:
+hull. One double description, `_extreme_rays`, does both exact conversions:
 points to facet half-spaces here, and half-spaces to vertices for the
-intersections of `miniatures`. It hands back, with each ray, the rows tight
-on it, and `_assembled` builds either kind of polytope from those
-incidences alone. Everything is immutable and arithmetic is exact:
-arbitrary-precision integers and Fractions, never floats.
+intersections of `miniatures`. It adds the rows of a full-rank system one
+at a time, and two rays are adjacent iff no third ray is tight on every row
+they share. It hands back, with each ray, the rows tight on it, and
+`_assembled` builds either kind of polytope from those incidences alone.
+Everything is immutable and arithmetic is exact: arbitrary-precision
+integers and Fractions, never floats.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import factorial, gcd
 
 from . import _linalg as la
@@ -169,45 +170,52 @@ def _validated_points(points) -> list[tuple[int, ...]]:
 def _extreme_rays(rows, k: int) -> list[tuple[tuple[int, ...], frozenset[int]]]:
     """Primitive extreme rays of the pointed cone {y in R^k : r.y <= 0 for each row r}.
 
-    Scans the (k-1)-subsets of the integer rows: an extreme ray spans the
-    null space of k-1 independent rows it is tight on. Each candidate is
-    divided by the gcd of its entries and given a positive first nonzero
-    entry; a candidate already tested, through another subset, is skipped.
-    It is kept, with its sign flipped if need be, iff every row lies weakly
-    on one side of it, and comes back in sorted order with the indices of
-    the rows tight on it, read off that side test. By Minkowski-Weyl
-    duality this one scan turns points into facets and half-spaces into
-    vertices, and it supplies every facet-vertex incidence.
+    Double description (Motzkin et al. 1953; Fukuda-Prodon 1996). The rays
+    of the simplicial cone of a greedy basis of k independent rows are null
+    vectors of k-1 of them. Every other row r is then added in turn: rays
+    with r.y > 0 are dropped, and each pair of a dropped ray p and a kept
+    ray n with r.n < 0 that is adjacent gives the ray (r.p) n - (r.n) p,
+    tight on r and on the rows tight on both. The test is combinatorial:
+    the pair is adjacent iff it shares at least k-2 tight rows and no third
+    ray is tight on all of them. Every ray is divided by the gcd of its
+    entries, so it is primitive, and the rays come back sorted, each with
+    the indices of all the rows tight on it. By Minkowski-Weyl duality this
+    one routine turns points into facets and half-spaces into vertices, and
+    it supplies every facet-vertex incidence.
+
+    The rows must have rank k: a cone with a lineality space is not
+    pointed, and for it the result is [].
     """
-    found = {}
-    tested = set()
-    for subset in combinations(rows, k - 1):
-        ray = la.null_vector(subset, k)
-        if ray is None:
+    basis = la.echelon(list(zip(*rows)))[1]
+    if len(basis) < k:
+        return []
+    rays = []  # (ray, bit mask of the rows tight on it)
+    for i in basis:
+        y = la.null_vector([rows[j] for j in basis if j != i], k)
+        g = gcd(*y) if la.dot(rows[i], y) < 0 else -gcd(*y)
+        rays.append((tuple(c // g for c in y), sum(1 << j for j in basis if j != i)))
+    chosen = set(basis)
+    for j, r in enumerate(rows):
+        if j in chosen:
             continue
-        g = gcd(*ray)
-        if next(c for c in ray if c) < 0:
-            g = -g
-        ray = tuple(c // g for c in ray)
-        if ray in tested:
-            continue
-        tested.add(ray)
-        above = below = False
-        tight = []
-        for i, r in enumerate(rows):
-            v = la.dot(r, ray)
-            if v > 0:
-                above = True
-            elif v < 0:
-                below = True
-            else:
-                tight.append(i)
-            if above and below:
-                break
-        if above and below:
-            continue
-        found[tuple(-c for c in ray) if above else ray] = frozenset(tight)
-    return sorted(found.items())
+        bit = 1 << j
+        values = [la.dot(r, y) for y, _ in rays]
+        masks = [m for _, m in rays]
+        above = [(y, m, v) for (y, m), v in zip(rays, values) if v > 0]
+        below = [(y, m, v) for (y, m), v in zip(rays, values) if v < 0]
+        kept = [(y, m | bit if v == 0 else m) for (y, m), v in zip(rays, values) if v <= 0]
+        for p, mp, vp in above:
+            for n, mn, vn in below:
+                z = mp & mn
+                # p and n are tight on z; a third ray tight on it rules the pair out
+                if z.bit_count() >= k - 2 and sum(z & m == z for m in masks) == 2:
+                    y = tuple(vp * a - vn * b for a, b in zip(n, p))
+                    g = gcd(*y)
+                    kept.append((tuple(c // g for c in y), z | bit))
+        rays = kept
+    return sorted(
+        (y, frozenset(i for i in range(len(rows)) if m >> i & 1)) for y, m in rays
+    )
 
 
 def _facet_halfspaces(points, k: int) -> list[tuple[HalfSpace, frozenset[int]]]:

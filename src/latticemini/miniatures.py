@@ -261,7 +261,8 @@ def mu_inclusion_exclusion(parts) -> Fraction:
     """Inclusion-exclusion value sum_k (-1)^(k-1) sum_{|I|=k} mu(intersection).
 
     Full-dimensional intersections contribute their symbolic limit; empty or
-    lower-dimensional ones contribute 0. The caller asserts the union is
+    lower-dimensional ones contribute 0. A single part is its own
+    intersection. The caller asserts the union is
     convex; a volume cross-check turns a violated precondition into an error
     instead of a silently wrong value.
     """
@@ -283,7 +284,7 @@ def mu_inclusion_exclusion(parts) -> Fraction:
     for k in range(1, len(parts) + 1):
         sign = 1 if k % 2 == 1 else -1
         for subset in combinations(parts, k):
-            piece = _intersection_polytope(subset, d)
+            piece = subset[0] if k == 1 else _intersection_polytope(subset, d)
             if piece is None:
                 continue
             total_mu += sign * mu_limit_symbolic(piece)

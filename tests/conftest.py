@@ -5,17 +5,20 @@ machinery: membership goes through convex-combination feasibility
 (Caratheodory over vertex subsets) with a locally written exact solver, so
 counting tests have a second, independent route to the same numbers. The
 triangulation oracle re-hulls every face it visits in its own chart, so it
-shares no face-lattice code with `geometry._triangulate`. The hull and
-intersection oracles scan hyperplanes and vertices directly, by null
-vectors of point differences and by Fraction solves, not by extreme rays,
-and the vertex oracle tests the rank of each point's tight normals.
+shares no face-lattice code with `geometry._triangulate`. The ray oracle
+scans every (k-1)-subset of the rows where the library adds rows one at a
+time. The hull and intersection oracles scan hyperplanes and vertices
+directly, by null vectors of point differences and by Cramer's rule with a
+Leibniz determinant, not by extreme rays, and the vertex oracle tests the
+rank of each point's tight normals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
-from math import factorial, gcd
+from functools import cache
+from itertools import combinations, permutations, product
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -154,6 +157,39 @@ def box_scan_count(P, t: int, interior: bool = False) -> int:
     return count_points_partitioned(P, t, interior, slabs=1)
 
 
+def subset_scan_rays(rows, k: int) -> list[tuple[tuple[int, ...], frozenset[int]]]:
+    """Primitive extreme rays of the cone {y in R^k : r.y <= 0 for each row r}.
+
+    The reference for `geometry._extreme_rays`: scans the (k-1)-subsets of
+    the rows, since an extreme ray spans the null space of k-1 independent
+    rows it is tight on. Each candidate is made primitive with a positive
+    first nonzero entry; a candidate already tested, through another
+    subset, is skipped. It is kept, with its sign flipped if need be, iff
+    every row lies weakly on one side of it, and comes back in sorted order
+    with the indices of the rows tight on it.
+    """
+    found = {}
+    tested = set()
+    for subset in combinations(rows, k - 1):
+        ray = la.null_vector(subset, k)
+        if ray is None:
+            continue
+        g = gcd(*ray)
+        if next(c for c in ray if c) < 0:
+            g = -g
+        ray = tuple(c // g for c in ray)
+        if ray in tested:
+            continue
+        tested.add(ray)
+        values = [la.dot(r, ray) for r in rows]
+        if any(v > 0 for v in values) and any(v < 0 for v in values):
+            continue
+        if any(v > 0 for v in values):
+            ray = tuple(-c for c in ray)
+        found[ray] = frozenset(i for i, v in enumerate(values) if v == 0)
+    return sorted(found.items())
+
+
 def scan_facet_halfspaces(points, k: int) -> list[HalfSpace]:
     """All facet half-spaces of the hull of integer `points` spanning R^k.
 
@@ -189,19 +225,48 @@ def scan_facet_halfspaces(points, k: int) -> list[HalfSpace]:
     return [HalfSpace(n, b) for n, b in sorted(found)]
 
 
+@cache
+def signed_permutations(n: int) -> list[tuple[int, list[int]]]:
+    """(sign, flat indices i*n + p(i)) for every permutation p of range(n)."""
+    out = []
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i, j in combinations(range(n), 2))
+        out.append(((-1) ** inversions, [i * n + j for i, j in enumerate(p)]))
+    return out
+
+
+def leibniz_det(matrix) -> int:
+    """Determinant of a small square integer matrix by the Leibniz formula."""
+    flat = [x for row in matrix for x in row]
+    return sum(
+        s * prod(map(flat.__getitem__, idx)) for s, idx in signed_permutations(len(matrix))
+    )
+
+
 def solved_intersection(parts, d: int):
     """Intersection of full-dimensional parts; None when empty or lower-dimensional.
 
     The reference for `miniatures._intersection_polytope`: every d-subset of
-    the parts' half-spaces is solved over Fractions, and a feasible solution
-    is a vertex. The rank is taken over Fractions before the lattice test.
+    the parts' half-spaces is solved by Cramer's rule, x = X/D in integers,
+    and a solution that satisfies every half-space is a vertex; only those
+    become Fractions. The rank is taken over Fractions before the lattice
+    test.
     """
     halfspaces = sorted({(h.normal, h.offset) for P in parts for h in P.halfspaces})
     verts = set()
     for subset in combinations(halfspaces, d):
-        x = solve_exact([list(n) for n, _ in subset], [b for _, b in subset])
-        if x is not None and all(la.dot(n, x) <= b for n, b in halfspaces):
-            verts.add(tuple(x))
+        normals = [list(n) for n, _ in subset]
+        D = leibniz_det(normals)
+        if D == 0:
+            continue
+        X = [
+            leibniz_det([row[:i] + [b] + row[i + 1:] for row, (_, b) in zip(normals, subset)])
+            for i in range(d)
+        ]
+        if D < 0:
+            D, X = -D, [-c for c in X]
+        if all(la.dot(n, X) <= b * D for n, b in halfspaces):
+            verts.add(tuple(Fraction(c, D) for c in X))
     verts = sorted(verts)
     if not verts or rank_exact([la.vsub(v, verts[0]) for v in verts[1:]]) < d:
         return None

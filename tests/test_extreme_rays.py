@@ -1,12 +1,14 @@
-"""The extreme-ray scan against the subset-scan and Fraction oracles.
+"""The double description against the subset-scan and Cramer's-rule oracles.
 
 `geometry._extreme_rays` turns points into facets (`_facet_halfspaces`) and
 half-spaces into vertices (`miniatures._intersection_polytope`), and hands
 back the incidences both build their polytopes from. The oracles in
-conftest do each conversion on its own: hyperplanes through point
-differences, vertices by the rank of their tight facet normals, and
-vertices as Fraction solutions of d tight half-spaces.
+conftest work on their own: the rays of every (k-1)-subset of the rows,
+hyperplanes through point differences, vertices by the rank of their tight
+facet normals, and vertices as solutions of d tight half-spaces.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -16,6 +18,7 @@ from conftest import (
     rank_vertex_indices,
     scan_facet_halfspaces,
     solved_intersection,
+    subset_scan_rays,
 )
 from latticemini import UnsupportedInputError, corpus, from_vertices, geometry, miniatures
 from latticemini import _linalg as la
@@ -33,7 +36,7 @@ def point_sets(draw, d: int):
     return points
 
 
-@given(st.one_of(*(point_sets(d) for d in (1, 2, 3, 4, 5))))
+@given(st.one_of(*(point_sets(d) for d in (1, 2, 3, 4, 5, 6))))
 @settings(max_examples=150, deadline=None)
 def test_facet_halfspaces_match_the_subset_scan(points):
     # charts of lower-dimensional sets included: 3 points in R^5 span a plane
@@ -57,6 +60,39 @@ def test_rays_are_primitive_and_sorted():
 def test_empty_cone_has_no_rays():
     # x <= 0, y <= 0 and x + y >= 0 meet only at 0
     assert _extreme_rays([(1, 0), (0, 1), (-1, -1)], 2) == []
+
+
+@st.composite
+def row_sets(draw):
+    """Rows in R^k, k = 2..6, with duplicate, parallel and redundant rows mixed in."""
+    k = draw(st.integers(min_value=2, max_value=6))
+    coord = st.integers(min_value=-2, max_value=2)
+    rows = draw(st.lists(st.tuples(*([coord] * k)), min_size=k, max_size=k + 4))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        a, b = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2))
+        c = draw(st.sampled_from([-1, 1, 2]))
+        kind = draw(st.sampled_from(["duplicate", "parallel", "redundant"]))
+        row = {"duplicate": a, "parallel": la.vscale(a, c), "redundant": la.vadd(a, b)}[kind]
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), row)
+    return rows, k
+
+
+@given(row_sets())
+@settings(max_examples=300, deadline=None)
+def test_rays_match_the_subset_scan(case):
+    rows, k = case
+    assume(len(la.echelon(rows)[1]) == k)
+    rays = _extreme_rays(rows, k)
+    event(f"k={k}: {'empty cone' if not rays else 'rays'}")
+    assert rays == subset_scan_rays(rows, k)
+
+
+def test_rank_deficient_rows_have_no_rays():
+    # x <= 0 in R^2, and x <= 0, y <= 0 in R^3: each cone holds a line, so
+    # it is not pointed; the subset scan would return that line's direction
+    assert _extreme_rays([(1, 0)], 2) == []
+    assert _extreme_rays([(1, 0, 0), (0, 1, 0), (2, 1, 0)], 3) == []
+    assert _extreme_rays([], 2) == []
 
 
 @st.composite
@@ -138,11 +174,25 @@ ONE_PART = [(name, P) for name, P in corpus.full_corpus() if P.is_full_dimension
     ("cross4", cross_polytope(4)),
     ("simplex5", corpus.simplex(5)),
     ("cube5", unit_cube(5)),
+    ("cube6", unit_cube(6)),
 ]
 
 
 @pytest.mark.parametrize("name, P", ONE_PART, ids=[c[0] for c in ONE_PART])
 def test_one_part_intersection_is_the_part(name, P):
-    # the 5-cube comes from its known facets: re-hulling its 32 vertices
-    # would take seconds, reading its facets' vertex sets does not
     assert _intersection_polytope([P], P.ambient_dim) == P
+
+
+HULLS_6D = [
+    ("cube6", unit_cube(6), 12, 1),
+    ("cross6", cross_polytope(6), 64, Fraction(4, 45)),
+    ("simplex6", corpus.simplex(6), 7, Fraction(1, 720)),
+]
+
+
+@pytest.mark.parametrize("name, P, facets, vol", HULLS_6D, ids=[c[0] for c in HULLS_6D])
+def test_hull_at_d6(name, P, facets, vol):
+    assert (P.dim, len(P.halfspaces), P.volume_d) == (6, facets, vol)
+    for h in P.halfspaces:
+        assert sum(h.value(v) == h.offset for v in P.vertices) >= 6
+        assert all(h.holds(v) for v in P.vertices)

@@ -51,19 +51,8 @@ def oracle_t_max(P, cap: int = 4) -> int:
 
 
 def unit_cube(d: int) -> LatticePolytope:
-    """[0, 1]^d built from its known facets: the subset-scan hull of the
-    5-cube takes seconds, and counting reads only vertices and facets."""
-    facets = []
-    for j in range(d):
-        e = tuple(int(i == j) for i in range(d))
-        facets += [HalfSpace(e, 1), HalfSpace(tuple(-c for c in e), 0)]
-    return LatticePolytope(
-        d,
-        tuple(product((0, 1), repeat=d)),
-        tuple(sorted(facets, key=lambda h: (h.normal, h.offset))),
-        d,
-        Fraction(1),
-    )
+    """[0, 1]^d, hulled from its 2^d vertices."""
+    return from_vertices(product((0, 1), repeat=d))
 
 
 CASES = [(name, P, 4) for name, P in corpus.full_corpus() if P.is_full_dimensional] + [
@@ -81,10 +70,16 @@ def test_matches_box_scan(name, P, t_max):
 
 
 def test_unit_cube_matches_its_hull():
-    # in dimension 4, where the hull is quick, the hand-built cube is the hull
-    Q = unit_cube(4)
-    P = corpus.box(1, 1, 1, 1)
-    assert (P.vertices, P.halfspaces, P.volume_d) == (Q.vertices, Q.halfspaces, Q.volume_d)
+    # the hull of {0, 1}^d is the cube 0 <= x_j <= 1, up to d = 6
+    for d in range(1, 7):
+        facets = []
+        for j in range(d):
+            e = tuple(int(i == j) for i in range(d))
+            facets += [HalfSpace(e, 1), HalfSpace(tuple(-c for c in e), 0)]
+        P = unit_cube(d)
+        assert P.vertices == tuple(product((0, 1), repeat=d))
+        assert P.halfspaces == tuple(sorted(facets, key=lambda h: (h.normal, h.offset)))
+        assert P.volume_d == 1
 
 
 @st.composite
