@@ -9,7 +9,7 @@ arithmetic is exact (arbitrary-precision integers and rationals).
 
 __version__ = "0.1.0"
 
-from .counting import LatticeCount, count_points
+from .counting import count_points
 from .ehrhart import EhrhartPolynomial, check_reciprocity, ehrhart_polynomial
 from .errors import (
     ConstructionError,
@@ -50,7 +50,6 @@ __all__ = [
     "LatticePolytope",
     "HalfSpace",
     "RationalPolynomial",
-    "LatticeCount",
     "EhrhartPolynomial",
     "CopyCensus",
     "MuReport",

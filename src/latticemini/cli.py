@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, corpus
-from .counting import count_table
+from .counting import count_points
 from .ehrhart import ehrhart_polynomial
 from .errors import (
     InternalConsistencyError,
@@ -50,15 +50,15 @@ class RunConfig:
     summary: bool = False
 
 
-def decimal_string(value: Fraction, places: int = 12) -> str:
-    """Exact fixed-point rendering, correct to `places` decimal digits."""
+def decimal_string(value: Fraction) -> str:
+    """Exact fixed-point rendering, rounded half up to 12 decimal digits."""
     sign = "-" if value < 0 else ""
     num, den = abs(value).numerator, abs(value).denominator
-    scaled, rem = divmod(num * 10**places, den)
+    scaled, rem = divmod(num * 10**12, den)
     if 2 * rem >= den:
         scaled += 1
-    whole, frac = divmod(scaled, 10**places)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    whole, frac = divmod(scaled, 10**12)
+    return f"{sign}{whole}.{frac:012d}"
 
 
 def parse_polytope(text: str) -> LatticePolytope:
@@ -133,22 +133,18 @@ def _write_json(doc, out) -> None:
 
 def _cmd_count(config: RunConfig, out) -> int:
     P = _resolve_polytope(config)
-    rows = count_table(P, config.t_max)
+    rows = [
+        (t, count_points(P, t), count_points(P, t, interior=True))
+        for t in range(config.t_max + 1)
+    ]
     if config.format == "json":
         _write_json(
-            {
-                "counts": [
-                    {"t": r.dilate, "closed": r.closed_count, "interior": r.interior_count}
-                    for r in rows
-                ]
-            },
-            out,
+            {"counts": [{"t": t, "closed": c, "interior": i} for t, c, i in rows]}, out
         )
     else:
         writer = _csv_writer(out)
         writer.writerow(["t", "closed", "interior"])
-        for r in rows:
-            writer.writerow([r.dilate, r.closed_count, r.interior_count])
+        writer.writerows(rows)
     return EXIT_OK
 
 

@@ -19,18 +19,7 @@ points' prefixes, so the count stays exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .geometry import LatticePolytope, _require_full_dimensional
-
-
-@dataclass(frozen=True)
-class LatticeCount:
-    """Counts for one dilate: #(tP cap Z^d) and #(interior(tP) cap Z^d)."""
-
-    dilate: int
-    closed_count: int
-    interior_count: int
 
 
 def _lift(levels, slack, k: int) -> int:
@@ -89,10 +78,3 @@ def count_points(P: LatticePolytope, t: int, interior: bool = False) -> int:
         slack = [t * b for b in plan.offsets]
     return _lift(plan.levels, slack, 0)
 
-
-def count_table(P: LatticePolytope, t_max: int) -> list[LatticeCount]:
-    """Closed and interior counts for t = 0..t_max."""
-    return [
-        LatticeCount(t, count_points(P, t), count_points(P, t, interior=True))
-        for t in range(t_max + 1)
-    ]

@@ -23,10 +23,9 @@ from .polynomial import RationalPolynomial
 
 @dataclass(frozen=True)
 class EhrhartPolynomial:
-    """Interpolated enumerator polynomial together with its source polytope."""
+    """Interpolated enumerator polynomial."""
 
     poly: RationalPolynomial
-    source: LatticePolytope
 
 
 def ehrhart_polynomial(P: LatticePolytope) -> EhrhartPolynomial:
@@ -42,7 +41,7 @@ def ehrhart_polynomial(P: LatticePolytope) -> EhrhartPolynomial:
                 f"{poly.evaluate(t)} != {expected}"
             )
     _check_shape(poly, P)
-    return EhrhartPolynomial(poly=poly, source=P)
+    return EhrhartPolynomial(poly)
 
 
 def _check_shape(poly: RationalPolynomial, P: LatticePolytope) -> None:

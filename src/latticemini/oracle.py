@@ -14,7 +14,13 @@ from itertools import product
 from math import factorial
 
 from .errors import ResourceLimitError, TheoremViolationError
-from .geometry import LatticePolytope, _require_full_dimensional, contains, dilate
+from .geometry import (
+    LatticePolytope,
+    _require_full_dimensional,
+    bounding_box,
+    contains,
+    dilate,
+)
 from .polynomial import RationalPolynomial
 
 # hard caps so oracle runs stay at desk scale and deterministic
@@ -54,8 +60,7 @@ def enumerate_copies(P: LatticePolytope, n: int) -> list[CopyWitness]:
     _check_guards(P, n)
     big = dilate(P, n)
     d = P.ambient_dim
-    mins = [min(v[j] for v in P.vertices) for j in range(d)]
-    maxs = [max(v[j] for v in P.vertices) for j in range(d)]
+    mins, maxs = bounding_box(P)
     witnesses = []
     for i in range(1, n + 1):
         ranges = [

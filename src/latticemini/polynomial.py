@@ -29,10 +29,6 @@ class RationalPolynomial:
     def from_coeffs(cls, coeffs: Iterable) -> "RationalPolynomial":
         return cls(_canonical(coeffs))
 
-    @classmethod
-    def zero(cls) -> "RationalPolynomial":
-        return cls(())
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -105,8 +101,8 @@ class RationalPolynomial:
         """Coefficients low-to-high as decimal-free rational strings."""
         return [str(c) for c in self.coeffs]
 
-    def pretty(self, var: str = "t") -> str:
-        """Human-readable rendering, highest degree first."""
+    def pretty(self) -> str:
+        """Human-readable rendering in t, highest degree first."""
         if not self.coeffs:
             return "0"
         parts: list[str] = []
@@ -119,7 +115,7 @@ class RationalPolynomial:
             if k == 0:
                 body = str(mag)
             else:
-                power = var if k == 1 else f"{var}^{k}"
+                power = "t" if k == 1 else f"t^{k}"
                 body = power if mag == 1 else f"{mag} {power}"
             if not parts:
                 parts.append(body if sign == "+" else f"-{body}")

@@ -4,14 +4,36 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from latticemini import PolytopeParseError, TheoremViolationError
-from latticemini import cli
+from latticemini import cli, corpus, selfcheck
 from latticemini.cli import decimal_string, main, parse_polytope
+
+# the `verify` suites, in the order they print
+SUITE_NAMES = [
+    "geometry.hull-idempotence",
+    "geometry.scaling-law",
+    "geometry.translation-invariance",
+    "geometry.pyramid-volume",
+    "counting.monotonicity",
+    "counting.product-law",
+    "counting.lift-vs-membership",
+    "ehrhart.shape",
+    "ehrhart.reciprocity",
+    "miniatures.pyramid-identity",
+    "miniatures.volume-ratio-limit",
+    "miniatures.numerator-lead",
+    "miniatures.census-monotone",
+    "miniatures.census-vs-counts",
+    "oracle.census-equivalence",
+    "oracle.sum-product",
+    "miniatures.inclusion-exclusion",
+]
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +223,7 @@ class TestSubcommands:
         assert code == 0
         assert "FAIL" not in out
         assert "suites passed" in out
+        assert [line.split()[1] for line in out.splitlines()[:-1]] == SUITE_NAMES
 
 
 class TestExitCodes:
@@ -327,3 +350,63 @@ def test_keyboard_interrupt_exits_130(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "mu", "--preset", "square", "--n-max", "3")
     assert code == 130
     assert out == err == ""
+
+
+def _bumped_scale_one(real):
+    # off by one at scale 1 past n = 7, which only census-vs-counts reaches
+    def census(P, n):
+        c = real(P, n)
+        if n <= 7:
+            return c
+        return replace(c, per_scale={**c.per_scale, 1: c.per_scale[1] + 1})
+
+    return census
+
+
+@pytest.mark.parametrize(
+    "call, corrupt, name, detail",
+    [
+        pytest.param(
+            "count_points",
+            lambda real: lambda P, t, interior=False: real(P, t, interior) + interior,
+            "counting.lift-vs-membership", "segment1, t=1, interior=True",
+            id="interior-count",
+        ),
+        pytest.param(
+            "copy_census", _bumped_scale_one,
+            "miniatures.census-vs-counts", "triangle",
+            id="census-per-scale",
+        ),
+        pytest.param(
+            "enumerate_copies", lambda real: lambda P, n: real(P, n)[1:],
+            "oracle.census-equivalence", "segment1",
+            id="oracle-witnesses",
+        ),
+        pytest.param(
+            "average_miniature_volume", lambda real: lambda P, n: real(P, n) + 1,
+            "oracle.census-equivalence", "segment1, volume average",
+            id="volume-average",
+        ),
+        pytest.param(
+            "mu_inclusion_exclusion",
+            lambda real: lambda parts: real(parts) + (len(parts) == 3),
+            "miniatures.inclusion-exclusion", "sheared 3-D slabs",
+            id="inclusion-exclusion",
+        ),
+    ],
+)
+def test_verify_names_the_failing_suite(capsys, monkeypatch, call, corrupt, name, detail):
+    # corrupt one library call as `verify` sees it; the library itself is intact
+    monkeypatch.setattr(selfcheck, call, corrupt(getattr(selfcheck, call)))
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 3
+    failed = [line.split(None, 2) for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0][1] in SUITE_NAMES
+    assert failed[0][1:] == [name, detail]
+    assert out.endswith("16/17 suites passed\n")
+
+
+def test_verify_corpus_is_full_dimensional():
+    # the `verify` suites feed every corpus entry to full-dimensional routines
+    assert all(P.is_full_dimensional for _, P in corpus.full_corpus())

@@ -74,7 +74,7 @@ def test_interpolate_recovers_from_integer_values(coeffs, scale):
 
 
 def test_interpolate_nothing_is_zero():
-    assert RationalPolynomial.interpolate([]) == RationalPolynomial.zero()
+    assert RationalPolynomial.interpolate([]) == RationalPolynomial(())
 
 
 def test_coeff_strings_decimal_free():
@@ -86,4 +86,4 @@ def test_pretty_rendering():
     p = RationalPolynomial.from_coeffs([0, Fraction(1, 3), Fraction(-1, 2), 1])
     assert p.pretty() == "t^3 - 1/2 t^2 + 1/3 t"
     assert RationalPolynomial.from_coeffs([5]).pretty() == "5"
-    assert RationalPolynomial.zero().pretty() == "0"
+    assert RationalPolynomial(()).pretty() == "0"
