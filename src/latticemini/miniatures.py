@@ -3,11 +3,12 @@
 A horizontal lattice copy of P inside nP is a subset iP + a with integer
 scale i >= 1 and integer shift a; it stands for the miniature (iP + a)/n of
 resolution n, whose volume is (i/n)^d vol(P). The number of copies with
-scale i equals the lattice-point count L_P(n - i), the census total is a
-degree-(d+1) polynomial in n obtained from the pyramid over P, and the mean
+scale i equals the lattice-point count L_P(n - i), the census total
+H(n) = sum_{t<n} L_P(t) is a degree-(d+1) polynomial in n, and the mean
 miniature volume converges to vol(P) / C(2d+1, d). Every L_P(t) is read off
 the verified Ehrhart polynomial of P, so censuses and ratio sequences cost
-O(n) polynomial evaluations and a fixed number of lattice-point counts.
+O(n) polynomial evaluations and d+3 lattice-point counts. The pyramid route,
+H(n) = L_Pyr(n - 1), is the `verify` cross-check miniatures.pyramid-identity.
 Everything here is exact: the limit is extracted from interpolated leading
 coefficients, not floats.
 """
@@ -32,9 +33,8 @@ from .geometry import (
     _extreme_rays,
     _require_full_dimensional,
     from_vertices,
-    pyramid,
 )
-from .ehrhart import ehrhart_polynomial
+from .ehrhart import _fitted, ehrhart_polynomial
 from .polynomial import RationalPolynomial
 
 MAX_UNION_PARTS = 10
@@ -90,7 +90,7 @@ def copy_census(P: LatticePolytope, n: int) -> CopyCensus:
 def _ehrhart_values(P: LatticePolytope) -> list[int]:
     """L_P(t) for t = 0..2d+2, read off the verified Ehrhart polynomial of P.
 
-    Its d+3 counts are the only counts of P behind the census and numerator.
+    Its d+3 counts are the only counts behind the census, numerator and limit.
     """
     L = ehrhart_polynomial(P).poly
     return [int(L.evaluate(t)) for t in range(2 * P.ambient_dim + 3)]
@@ -103,12 +103,7 @@ def _numerator(P: LatticePolytope, values) -> RationalPolynomial:
     def sample(n: int) -> Fraction:
         return P.volume_d * sum((n - i) ** d * values[i] for i in range(n))
 
-    N = RationalPolynomial.interpolate([sample(n) for n in range(2 * d + 2)])
-    for n in (2 * d + 2, 2 * d + 3):
-        if N.evaluate(n) != sample(n):
-            raise InternalConsistencyError(
-                f"numerator polynomial disagrees with a fresh sample at n={n}"
-            )
+    N = _fitted(sample, 2 * d + 1, "numerator polynomial")
     expected_lead = Fraction(factorial(d) ** 2, factorial(2 * d + 1)) * P.volume_d**2
     if N.degree != 2 * d + 1 or N.leading_coefficient != expected_lead:
         raise TheoremViolationError(
@@ -119,20 +114,13 @@ def _numerator(P: LatticePolytope, values) -> RationalPolynomial:
 
 
 def _census(P: LatticePolytope, values) -> RationalPolynomial:
-    """H(n) = L_Pyr(n - 1), the census total, verified against sums of values of L.
+    """H(n) = sum_{t<n} L(t), the census total, fitted through sums of values of L.
 
-    H comes from the pyramid's own counts, so the leading coefficients of N
-    and H rest on independent counts.
+    The fit is checked against fresh sums at n = d+2 and d+3, and H against
+    its shape: constant term 0, degree d+1 and lead vol(P)/(d+1).
     """
     d = P.ambient_dim
-    H = ehrhart_polynomial(pyramid(P)).poly.shift_argument(-1)
-    for t in range(1, d + 4):
-        expected = sum(values[:t])
-        if H.evaluate(t) != expected:
-            raise InternalConsistencyError(
-                f"copy polynomial disagrees with the census at n={t}: "
-                f"{H.evaluate(t)} != {expected}"
-            )
+    H = _fitted(lambda n: sum(values[:n]), d + 1, "copy polynomial")
     if H.constant_term != 0:
         raise InternalConsistencyError(
             f"copy polynomial constant term {H.constant_term} != 0"
@@ -163,9 +151,11 @@ def _census_and_numerator(P: LatticePolytope):
 def copy_polynomial(P: LatticePolytope) -> RationalPolynomial:
     """The polynomial H_P with H_P(n) = census total at resolution n.
 
-    Computed as the Ehrhart polynomial of the pyramid over P evaluated at
-    t - 1, then verified against the census totals sum_{t<n} L_P(t). Its
-    constant term vanishes and its leading coefficient is vol(P)/(d+1).
+    Fitted through the census totals sum_{t<n} L_P(t) and verified against
+    fresh ones; it costs the d+3 counts of the Ehrhart polynomial of P. Its
+    constant term vanishes and its leading coefficient is vol(P)/(d+1). It
+    equals the Ehrhart polynomial of the pyramid over P evaluated at n - 1,
+    which `verify` checks.
     """
     _require_full_dimensional(P, "the copy polynomial")
     return _census(P, _ehrhart_values(P))
@@ -202,10 +192,9 @@ def mu_report(P: LatticePolytope, n_max: int) -> MuReport:
     """Ratio sequence for n = 1..n_max plus the exact symbolic limit.
 
     ratio(n) = N(n) / (n^d H(n)) is read off the verified numerator and census
-    polynomials, so a report costs d+3 lattice-point counts of P and d+4 of
-    the pyramid over P whatever n_max is, plus O(n_max) polynomial
-    evaluations. A lower-dimensional polytope yields the all-zero report:
-    every miniature has ambient volume 0.
+    polynomials, so a report costs d+3 lattice-point counts of P whatever
+    n_max is, plus O(n_max) polynomial evaluations. A lower-dimensional
+    polytope yields the all-zero report: every miniature has ambient volume 0.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max}")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from typing import Iterable, Sequence
 
 
@@ -52,21 +52,6 @@ class RationalPolynomial:
 
     def __call__(self, t) -> Fraction:
         return self.evaluate(t)
-
-    def shift_argument(self, delta) -> "RationalPolynomial":
-        """Return the polynomial q with q(t) = p(t + delta), exactly."""
-        delta = Fraction(delta)
-        n = len(self.coeffs)
-        out = [Fraction(0)] * n
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            power = Fraction(1)
-            # expand c * (t + delta)**k from the t**k term downward
-            for j in range(k, -1, -1):
-                out[j] += c * comb(k, j) * power
-                power *= delta
-        return RationalPolynomial(_canonical(out))
 
     @classmethod
     def interpolate(cls, values: Sequence) -> "RationalPolynomial":

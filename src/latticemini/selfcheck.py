@@ -3,7 +3,8 @@
 Each suite re-runs one family of exact identities over the built-in corpus.
 `_SUITES` holds one (name, pass detail, check) row per suite. A check
 returns None when every case holds, or a label naming the first case that
-fails, and `run_all` reports that label under the row's name. Kept fast
+fails, and `run_all` reports that label under the row's name; a check that
+raises a violated identity is reported there with its message. Kept fast
 enough to run on every invocation; the pytest suite is the exhaustive
 version of the same checks.
 """
@@ -18,6 +19,7 @@ from math import comb, factorial
 from . import corpus
 from .counting import count_points
 from .ehrhart import check_reciprocity, ehrhart_polynomial
+from .errors import InternalConsistencyError, TheoremViolationError
 from .geometry import (
     bounding_box,
     contains,
@@ -147,13 +149,18 @@ def _reciprocity():
 
 
 def _pyramid_identity():
+    # H is summed from L, and the pyramid's counts are the independent route:
+    # two polynomials of degree d+1 that agree at d+2 points are equal.
     for name, P in corpus.full_corpus():
         poly = copy_polynomial(P)  # internally verified against census totals
-        scale = factorial(P.ambient_dim + 1)
+        d = P.ambient_dim
+        scale = factorial(d + 1)
+        pyr = ehrhart_polynomial(pyramid(P)).poly
         if (
             poly.constant_term != 0
-            or poly.leading_coefficient != P.volume_d / (P.ambient_dim + 1)
+            or poly.leading_coefficient != P.volume_d / (d + 1)
             or any((c * scale).denominator != 1 for c in poly.coeffs)
+            or any(poly(n) != pyr(n - 1) for n in range(1, d + 3))
         ):
             return name
 
@@ -259,6 +266,9 @@ _SUITES = [
 def run_all() -> list[SuiteResult]:
     results = []
     for name, detail, check in _SUITES:
-        failure = check()
+        try:
+            failure = check()
+        except (TheoremViolationError, InternalConsistencyError) as exc:
+            failure = str(exc)
         results.append(SuiteResult(name, failure is None, failure or detail))
     return results

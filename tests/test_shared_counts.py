@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import box_scan_count
 from latticemini import (
     copy_census,
+    copy_polynomial,
     corpus,
     from_vertices,
     mu_limit_symbolic,
@@ -101,8 +102,8 @@ def test_mu_report_counts_do_not_grow_with_n_max(count_calls):
     at_40 = len(count_calls)
     count_calls.clear()
     mu_report(corpus.pentagon(), 400)
-    # d+3 counts of P and d+4 of the pyramid over P, for d = 2
-    assert at_40 == len(count_calls) == 11
+    # d+3 counts of P for d = 2, and none of the pyramid over P
+    assert at_40 == len(count_calls) == 5
 
 
 def test_copy_census_counts_do_not_grow_with_n(count_calls):
@@ -111,9 +112,13 @@ def test_copy_census_counts_do_not_grow_with_n(count_calls):
 
 
 def test_numerator_counts_no_pyramid(count_calls):
-    numerator_polynomial(corpus.box(3, 2, 2))
-    assert len(count_calls) == 6  # d+3 counts of P, none in d+1 dimensions
-    assert all(len(vertices[0]) == 3 for vertices, _, _ in count_calls)
+    P = corpus.box(3, 2, 2)
+    for route in (numerator_polynomial, copy_polynomial, mu_limit_symbolic,
+                  lambda P: mu_report(P, 30)):
+        count_calls.clear()
+        route(P)
+        assert len(count_calls) == 6  # d+3 counts of P, none in d+1 dimensions
+        assert all(len(vertices[0]) == 3 for vertices, _, _ in count_calls)
 
 
 # -- the polynomial route against the box scan, past every interpolation node --
