@@ -99,10 +99,13 @@ def _read_input(spec: str) -> str:
     stripped = spec.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
         return spec
-    path = Path(spec)
-    if not path.exists():
-        raise PolytopeParseError(f"input file not found: {spec}")
-    return path.read_text()
+    try:
+        return Path(spec).read_text()
+    except OSError as exc:
+        # Path("") is the working directory
+        if isinstance(exc, FileNotFoundError):
+            raise PolytopeParseError(f"input file not found: {spec}") from None
+        raise PolytopeParseError(f"cannot read input {spec!r}: {exc.strerror}") from None
 
 
 def _resolve_polytope(config: RunConfig) -> LatticePolytope:

@@ -5,8 +5,7 @@ degree-d polynomial with constant term 1, leading coefficient equal to the
 volume, and d! times every coefficient integral. Interpolation uses the
 smallest valid support (t = 0..d), by Newton's forward differences, and
 re-verifies against fresh counts at two extra nodes, so a silent counting or
-interpolation bug cannot survive. `miniatures` fits its census and numerator
-polynomials with the same fit-and-check, `_fitted`.
+interpolation bug cannot survive (`polynomial._fitted`).
 The h*-vector of every polynomial is checked to be nonnegative (Stanley 1980).
 """
 
@@ -19,7 +18,7 @@ from math import comb, factorial
 from .counting import count_points
 from .errors import InternalConsistencyError
 from .geometry import LatticePolytope, _require_full_dimensional
-from .polynomial import RationalPolynomial
+from .polynomial import RationalPolynomial, _fitted
 
 
 @dataclass(frozen=True)
@@ -35,20 +34,6 @@ def ehrhart_polynomial(P: LatticePolytope) -> EhrhartPolynomial:
     poly = _fitted(lambda t: count_points(P, t), P.ambient_dim, "interpolated enumerator")
     _check_shape(poly, P)
     return EhrhartPolynomial(poly)
-
-
-def _fitted(sample, degree: int, what: str) -> RationalPolynomial:
-    """The polynomial through sample(0..degree), checked against sample at
-    degree+1 and degree+2; a mismatch raises InternalConsistencyError."""
-    poly = RationalPolynomial.interpolate([sample(k) for k in range(degree + 1)])
-    for k in (degree + 1, degree + 2):
-        expected = sample(k)
-        if poly.evaluate(k) != expected:
-            raise InternalConsistencyError(
-                f"{what} disagrees with a fresh sample at {k}: "
-                f"{poly.evaluate(k)} != {expected}"
-            )
-    return poly
 
 
 def _check_shape(poly: RationalPolynomial, P: LatticePolytope) -> None:

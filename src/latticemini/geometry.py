@@ -5,9 +5,9 @@ minimal vertex set, the affine dimension, the facet half-spaces (when the
 polytope is full-dimensional in its ambient space) and the exact volume by
 a simplicial decomposition read off the facet-vertex incidences of that one
 hull. One double description, `_extreme_rays`, does both exact conversions:
-points to facet half-spaces here, and half-spaces to vertices for the
-intersections of `miniatures`. It adds the rows of a full-rank system one
-at a time, and two rays are adjacent iff no third ray is tight on every row
+points to facets in `from_vertices`, and half-spaces to vertices in
+`_intersection_polytope`. It adds the rows of a full-rank system one at a
+time, and two rays are adjacent iff no third ray is tight on every row
 they share. It hands back, with each ray, the rows tight on it, and
 `_assembled` builds either kind of polytope from those incidences alone.
 Everything is immutable and arithmetic is exact: arbitrary-precision
@@ -22,7 +22,7 @@ from functools import cached_property
 from math import factorial, gcd
 
 from . import _linalg as la
-from .errors import ConstructionError, NotFullDimensionalError
+from .errors import ConstructionError, NotFullDimensionalError, UnsupportedInputError
 
 
 @dataclass(frozen=True)
@@ -258,6 +258,33 @@ def _assembled(points, facets) -> LatticePolytope:
     return LatticePolytope(d, verts, tuple(h for h, _ in facets), d, vol)
 
 
+def _intersection_polytope(parts, d: int) -> LatticePolytope | None:
+    """Intersection of full-dimensional parts; None when empty or lower-dimensional.
+
+    Its vertices x/s are the extreme rays (x, s) of the cone a.x <= b s,
+    s >= 0, over the parts' half-spaces a.x <= b; the intersection is
+    bounded, so every ray has s > 0. The same scan gives each half-space's
+    vertex set. A nonempty intersection is lower-dimensional iff some
+    half-space is tight at every vertex, and its facets are the half-spaces
+    whose nonempty vertex set is inclusion-maximal, so nothing is re-hulled.
+    """
+    rows = sorted({h.normal + (-h.offset,) for P in parts for h in P.halfspaces})
+    rays = _extreme_rays(rows + [(0,) * d + (-1,)], d + 1)
+    if not rays or frozenset.intersection(*(tight for _, tight in rays)):
+        return None
+    for y, _ in rays:
+        if any(c % y[-1] for c in y[:-1]):
+            vertex = tuple(str(Fraction(c, y[-1])) for c in y[:-1])
+            raise UnsupportedInputError(
+                f"intersection has a non-lattice vertex {vertex}; "
+                "inclusion-exclusion is defined for lattice polytopes only"
+            )
+    on = [{i for i, (_, t) in enumerate(rays) if j in t} for j in range(len(rows))]
+    keep = [j for j, vs in enumerate(on) if vs and not any(vs < ws for ws in on)]
+    facets = [(HalfSpace(rows[j][:-1], -rows[j][-1]), on[j]) for j in keep]
+    return _assembled([tuple(c // y[-1] for c in y[:-1]) for y, _ in rays], facets)
+
+
 def _integer_chart(points) -> list[tuple[int, ...]]:
     """`points` projected onto the pivot columns of their difference vectors.
 
@@ -356,22 +383,8 @@ def volume(P: LatticePolytope) -> Fraction:
 def pyramid(P: LatticePolytope) -> LatticePolytope:
     """Pyramid over P in one higher dimension with apex (0, ..., 0, 1).
 
-    For full-dimensional P it is built from P's facets, with no hull: the
-    base -x_{d+1} <= 0, and a.x + b x_{d+1} <= b through the apex for each
-    facet a.x <= b of P (primitive, since a is), with volume vol(P)/(d+1).
-    A lower-dimensional P goes through from_vertices.
+    The hull of P x {0} and the apex, so its facets and its volume
+    vol(P)/(d+1) are read off a hull of their own, not off P's.
     """
     d = P.ambient_dim
-    apex = (0,) * d + (1,)
-    base = [v + (0,) for v in P.vertices]
-    if not P.is_full_dimensional:
-        return from_vertices(base + [apex])
-    facets = [((0,) * d + (-1,), 0)]
-    facets += [(h.normal + (h.offset,), h.offset) for h in P.halfspaces]
-    return LatticePolytope(
-        d + 1,
-        tuple(sorted(base + [apex])),
-        tuple(HalfSpace(n, b) for n, b in sorted(facets)),
-        d + 1,
-        P.volume_d / (d + 1),
-    )
+    return from_vertices([v + (0,) for v in P.vertices] + [(0,) * d + (1,)])

@@ -9,8 +9,8 @@ miniature volume converges to vol(P) / C(2d+1, d). Every L_P(t) is read off
 the verified Ehrhart polynomial of P, so censuses and ratio sequences cost
 O(n) polynomial evaluations and d+3 lattice-point counts. The pyramid route,
 H(n) = L_Pyr(n - 1), is the `verify` cross-check miniatures.pyramid-identity.
-Everything here is exact: the limit is extracted from interpolated leading
-coefficients, not floats.
+Intersections come from `geometry`. Everything here is exact: the limit is
+extracted from interpolated leading coefficients, not floats.
 """
 
 from __future__ import annotations
@@ -27,15 +27,13 @@ from .errors import (
     UnsupportedInputError,
 )
 from .geometry import (
-    HalfSpace,
     LatticePolytope,
-    _assembled,
-    _extreme_rays,
+    _intersection_polytope,
     _require_full_dimensional,
     from_vertices,
 )
-from .ehrhart import _fitted, ehrhart_polynomial
-from .polynomial import RationalPolynomial
+from .ehrhart import ehrhart_polynomial
+from .polynomial import RationalPolynomial, _fitted
 
 MAX_UNION_PARTS = 10
 
@@ -134,7 +132,8 @@ def _census(P: LatticePolytope, values) -> RationalPolynomial:
 
 
 def _census_and_numerator(P: LatticePolytope):
-    """(H, N) for a full-dimensional P, each verified, and their limit checked."""
+    """(H, N, limit) for a full-dimensional P: H and N each verified, and the
+    limit N.lead/H.lead checked against the closed form vol/C(2d+1, d)."""
     values = _ehrhart_values(P)
     N = _numerator(P, values)
     H = _census(P, values)
@@ -145,7 +144,7 @@ def _census_and_numerator(P: LatticePolytope):
         raise TheoremViolationError(
             f"symbolic limit {limit} != closed form vol/C(2d+1,d) = {closed}"
         )
-    return H, N
+    return H, N, limit
 
 
 def copy_polynomial(P: LatticePolytope) -> RationalPolynomial:
@@ -184,8 +183,7 @@ def mu_limit_symbolic(P: LatticePolytope) -> Fraction:
     since it would falsify the identity this package exists to check.
     """
     _require_full_dimensional(P, "the symbolic limit")
-    H, N = _census_and_numerator(P)
-    return N.leading_coefficient / H.leading_coefficient
+    return _census_and_numerator(P)[2]
 
 
 def mu_report(P: LatticePolytope, n_max: int) -> MuReport:
@@ -207,43 +205,12 @@ def mu_report(P: LatticePolytope, n_max: int) -> MuReport:
             bound_constant=zero,
         )
     d = P.ambient_dim
-    closed = P.volume_d / comb(2 * d + 1, d)
-    H, N = _census_and_numerator(P)
+    H, N, limit = _census_and_numerator(P)
     ratios = [(n, N(n) / (n**d * H(n))) for n in range(1, n_max + 1)]
-    bound = max(abs(r - closed) * n for n, r in ratios)
+    bound = max(abs(r - limit) * n for n, r in ratios)
     return MuReport(
-        ratios=ratios,
-        symbolic_limit=N.leading_coefficient / H.leading_coefficient,
-        closed_form=closed,
-        bound_constant=bound,
+        ratios=ratios, symbolic_limit=limit, closed_form=limit, bound_constant=bound
     )
-
-
-def _intersection_polytope(parts, d: int) -> LatticePolytope | None:
-    """Intersection of full-dimensional parts; None when empty or lower-dimensional.
-
-    Its vertices x/s are the extreme rays (x, s) of the cone a.x <= b s,
-    s >= 0, over the parts' half-spaces a.x <= b; the intersection is
-    bounded, so every ray has s > 0. The same scan gives each half-space's
-    vertex set. A nonempty intersection is lower-dimensional iff some
-    half-space is tight at every vertex, and its facets are the half-spaces
-    whose nonempty vertex set is inclusion-maximal, so nothing is re-hulled.
-    """
-    rows = sorted({h.normal + (-h.offset,) for P in parts for h in P.halfspaces})
-    rays = _extreme_rays(rows + [(0,) * d + (-1,)], d + 1)
-    if not rays or frozenset.intersection(*(tight for _, tight in rays)):
-        return None
-    for y, _ in rays:
-        if any(c % y[-1] for c in y[:-1]):
-            vertex = tuple(str(Fraction(c, y[-1])) for c in y[:-1])
-            raise UnsupportedInputError(
-                f"intersection has a non-lattice vertex {vertex}; "
-                "inclusion-exclusion is defined for lattice polytopes only"
-            )
-    on = [{i for i, (_, t) in enumerate(rays) if j in t} for j in range(len(rows))]
-    keep = [j for j, vs in enumerate(on) if vs and not any(vs < ws for ws in on)]
-    facets = [(HalfSpace(rows[j][:-1], -rows[j][-1]), on[j]) for j in keep]
-    return _assembled([tuple(c // y[-1] for c in y[:-1]) for y, _ in rays], facets)
 
 
 def mu_inclusion_exclusion(parts) -> Fraction:

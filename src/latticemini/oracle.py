@@ -3,7 +3,8 @@
 The enumerator searches an explicit shift box for every scale factor and
 keeps a copy iff all its vertices pass the half-space membership test; it
 never touches the census or polynomial machinery, so agreement between the
-two paths is meaningful evidence. Hard input guards keep runs reproducible.
+two paths is meaningful evidence. `sum_prod_poly` fits explicit sums with
+`polynomial._fitted`. Hard input guards keep runs reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .geometry import (
     contains,
     dilate,
 )
-from .polynomial import RationalPolynomial
+from .polynomial import RationalPolynomial, _fitted
 
 # hard caps so oracle runs stay at desk scale and deterministic
 _MAX_RESOLUTION = {1: 12, 2: 12, 3: 6}
@@ -87,24 +88,18 @@ def average_miniature_volume(P: LatticePolytope, n: int) -> Fraction:
 def sum_prod_poly(p: int, q: int) -> RationalPolynomial:
     """The exact polynomial in n equal to sum_{i=1}^{n} i^p (n-i)^q.
 
-    Interpolated from explicit sums; degree p+q+1 with leading coefficient
-    p! q! / (p+q+1)!.
+    Fitted through explicit sums at n = 0..p+q+1 and checked against two
+    fresh ones; degree p+q+1 with leading coefficient p! q! / (p+q+1)!.
     """
     if p < 1 or q < 1:
         raise ValueError(f"exponents must be positive integers, got p={p}, q={q}")
     if p + q > 10:
         raise ValueError(f"p + q is capped at 10, got {p + q}")
-    deg = p + q + 1
 
     def sample(n: int) -> int:
         return sum(i**p * (n - i) ** q for i in range(1, n + 1))
 
-    poly = RationalPolynomial.interpolate([sample(n) for n in range(deg + 1)])
-    check = deg + 1
-    if poly.evaluate(check) != sample(check):
-        raise TheoremViolationError(
-            f"power-product sum is not the interpolated polynomial at n={check}"
-        )
+    poly = _fitted(sample, p + q + 1, "power-product sum")
     expected = Fraction(factorial(p) * factorial(q), factorial(p + q + 1))
     if poly.leading_coefficient != expected:
         raise TheoremViolationError(

@@ -2,6 +2,7 @@
 
 Coefficients are stored lowest degree first and kept canonical (no trailing
 zeros), so equality is coefficient-wise equality and degree is implicit.
+`_fitted` is the one fit-and-check, for L, H, N and the oracle's sums.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Sequence
+
+from .errors import InternalConsistencyError
 
 
 def _canonical(coeffs: Iterable) -> tuple[Fraction, ...]:
@@ -110,3 +113,17 @@ class RationalPolynomial:
 
     def __str__(self) -> str:
         return self.pretty()
+
+
+def _fitted(sample, degree: int, what: str) -> RationalPolynomial:
+    """The polynomial through sample(0..degree), checked against sample at
+    degree+1 and degree+2; a mismatch raises InternalConsistencyError."""
+    poly = RationalPolynomial.interpolate([sample(k) for k in range(degree + 1)])
+    for k in (degree + 1, degree + 2):
+        expected = sample(k)
+        if poly.evaluate(k) != expected:
+            raise InternalConsistencyError(
+                f"{what} disagrees with a fresh sample at {k}: "
+                f"{poly.evaluate(k)} != {expected}"
+            )
+    return poly

@@ -12,7 +12,9 @@ directly, by null vectors of point differences and by Cramer's rule with a
 Leibniz determinant, not by extreme rays, and the vertex oracle tests the
 rank of each point's tight normals. The shift oracle expands p(t + delta)
 binomially, so the census polynomial can be compared coefficient by
-coefficient with the pyramid's enumerator evaluated at n - 1.
+coefficient with the pyramid's enumerator evaluated at n - 1. The pyramid
+oracle builds the pyramid from P's own facets, where the library hulls its
+base and apex.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from latticemini import (
     from_vertices,
 )
 from latticemini import _linalg as la
-from latticemini.geometry import HalfSpace, _integer_chart
+from latticemini.geometry import HalfSpace, LatticePolytope, _integer_chart
 
 
 def solve_exact(matrix, rhs):
@@ -358,6 +360,27 @@ def shift_argument(p, delta) -> RationalPolynomial:
         for j in range(k + 1):
             out[j] += c * comb(k, j) * delta ** (k - j)
     return RationalPolynomial.from_coeffs(out)
+
+
+def facet_pyramid(P) -> LatticePolytope:
+    """The pyramid over a full-dimensional P with apex (0, ..., 0, 1), from P's facets.
+
+    The reference for `geometry.pyramid`, which hulls the base and the apex:
+    the base -x_{d+1} <= 0, and a.x + b x_{d+1} <= b through the apex for
+    each facet a.x <= b of P (primitive, since a is), with volume
+    vol(P)/(d+1).
+    """
+    d = P.ambient_dim
+    verts = sorted([v + (0,) for v in P.vertices] + [(0,) * d + (1,)])
+    facets = [((0,) * d + (-1,), 0)]
+    facets += [(h.normal + (h.offset,), h.offset) for h in P.halfspaces]
+    return LatticePolytope(
+        d + 1,
+        tuple(verts),
+        tuple(HalfSpace(n, b) for n, b in sorted(facets)),
+        d + 1,
+        P.volume_d / (d + 1),
+    )
 
 
 def det3(rows) -> int:

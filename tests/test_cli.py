@@ -323,6 +323,19 @@ def test_thin_triangle_from_the_cli():
     ]
 
 
+@pytest.mark.parametrize("spec", ["dir", ""], ids=["directory", "empty"])
+def test_unreadable_input_is_precondition(tmp_path, spec):
+    # "" names the working directory, so both specs read a directory
+    spec = str(tmp_path) if spec == "dir" else spec
+    argv, env = module_command("count", "--input", spec, "--t-max", "1")
+    proc = subprocess.run(
+        argv, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=10
+    )
+    assert proc.returncode == 2
+    assert "error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("lines_read", [0, 2])
 def test_closed_pipe_exits_without_traceback(lines_read):
     argv, env = module_command("mu", "--preset", "square", "--n-max", "400")

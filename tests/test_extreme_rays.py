@@ -1,7 +1,7 @@
 """The double description against the subset-scan and Cramer's-rule oracles.
 
 `geometry._extreme_rays` turns points into facets (`_facet_halfspaces`) and
-half-spaces into vertices (`miniatures._intersection_polytope`), and hands
+half-spaces into vertices (`_intersection_polytope`), and hands
 back the incidences both build their polytopes from. The oracles in
 conftest work on their own: the rays of every (k-1)-subset of the rows,
 hyperplanes through point differences, vertices by the rank of their tight
@@ -20,10 +20,14 @@ from conftest import (
     solved_intersection,
     subset_scan_rays,
 )
-from latticemini import UnsupportedInputError, corpus, from_vertices, geometry, miniatures
+from latticemini import UnsupportedInputError, corpus, from_vertices, geometry
 from latticemini import _linalg as la
-from latticemini.geometry import _extreme_rays, _facet_halfspaces, _integer_chart
-from latticemini.miniatures import _intersection_polytope
+from latticemini.geometry import (
+    _extreme_rays,
+    _facet_halfspaces,
+    _integer_chart,
+    _intersection_polytope,
+)
 from test_lift import unit_cube
 
 
@@ -146,7 +150,7 @@ def test_flat_intersection_with_a_rational_vertex_is_none():
 
 def test_intersection_is_one_scan(monkeypatch):
     scans, hulls = [], []
-    original = geometry._extreme_rays
+    original, original_hull = geometry._extreme_rays, geometry.from_vertices
 
     def counted(rows, k):
         scans.append(k)
@@ -154,11 +158,10 @@ def test_intersection_is_one_scan(monkeypatch):
 
     def hull(points):
         hulls.append(points)
-        return geometry.from_vertices(points)
+        return original_hull(points)
 
-    for module in (geometry, miniatures):
-        monkeypatch.setattr(module, "_extreme_rays", counted)
-    monkeypatch.setattr(miniatures, "from_vertices", hull)
+    monkeypatch.setattr(geometry, "_extreme_rays", counted)
+    monkeypatch.setattr(geometry, "from_vertices", hull)
     # the unit cube cut by x + y + z <= 2: the cube without its corner (1, 1, 1)
     simplex = corpus.simplex(3)
     simplex = from_vertices([tuple(2 * c for c in v) for v in simplex.vertices])

@@ -1,14 +1,16 @@
 """Censuses and ratio sequences read off the Ehrhart polynomial, and the
-facet-built pyramid, against the routes they replaced: per-n censuses, box-scan
-counts of every dilate, and the hull of the base plus the apex."""
+pyramid hulled from its base and apex, against the routes they replaced:
+per-n censuses, box-scan counts of every dilate, and the pyramid built from
+P's facets."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import box_scan_count
+from conftest import box_scan_count, facet_pyramid
 from latticemini import (
+    LatticePolytope,
     copy_census,
     copy_polynomial,
     corpus,
@@ -34,11 +36,6 @@ CASES = [
 ]
 
 
-def hull_pyramid(P):
-    d = P.ambient_dim
-    return from_vertices([v + (0,) for v in P.vertices] + [(0,) * d + (1,)])
-
-
 @pytest.mark.parametrize("name, P, n_max", CASES, ids=[c[0] for c in CASES])
 def test_mu_report_matches_per_n_route(name, P, n_max):
     report = mu_report(P, n_max)
@@ -48,7 +45,7 @@ def test_mu_report_matches_per_n_route(name, P, n_max):
 
 @pytest.mark.parametrize("name, P, n_max", CASES, ids=[c[0] for c in CASES])
 def test_pyramid_matches_hull(name, P, n_max):
-    built, hulled = pyramid(P), hull_pyramid(P)
+    built, hulled = facet_pyramid(P), pyramid(P)
     assert built.ambient_dim == hulled.ambient_dim
     assert built.vertices == hulled.vertices
     assert built.halfspaces == hulled.halfspaces
@@ -57,8 +54,11 @@ def test_pyramid_matches_hull(name, P, n_max):
 
 
 def test_lower_dimensional_pyramid_uses_hull():
+    # the triangle (0,0,0), (2,2,0), (0,0,1) in R^3: no facets, volume 0
     P = from_vertices([(0, 0), (2, 2)])
-    assert pyramid(P) == hull_pyramid(P)
+    assert pyramid(P) == LatticePolytope(
+        3, ((0, 0, 0), (0, 0, 1), (2, 2, 0)), (), 2, Fraction(0)
+    )
 
 
 def _point_sets(d, radius=3):
@@ -74,7 +74,7 @@ def _point_sets(d, radius=3):
 def test_pyramid_matches_hull_property(pts):
     P = from_vertices(pts)
     assume(P.is_full_dimensional)
-    assert pyramid(P) == hull_pyramid(P)
+    assert pyramid(P) == facet_pyramid(P)
 
 
 @pytest.fixture

@@ -57,8 +57,8 @@ CASES = [(name, P) for name, P in corpus.full_corpus() if P.is_full_dimensional]
 
 @pytest.mark.parametrize("name, P", CASES, ids=[c[0] for c in CASES])
 def test_matches_chart_oracle(name, P):
-    # the pyramids are built from facets, with no hull: the rebuilt hull
-    # must find the same vertices, facets and volume
+    # the chart oracle re-hulls every face on its own: it must find the same
+    # vertices, facets and volume as the library's one hull
     Q = assert_matches_oracle(P.vertices)
     assert (Q.vertices, Q.halfspaces, Q.volume_d) == (P.vertices, P.halfspaces, P.volume_d)
 
