@@ -1,20 +1,26 @@
 """Exact lattice-point enumeration for dilates of lattice polytopes.
 
-This is the package's hot loop: project-and-lift enumeration, as in Normaliz
+This is the package's hot path: project-and-lift enumeration, as in Normaliz
 (Bruns-Ichim), which is Fourier-Motzkin projection applied to lattice
 points. P's axes are ordered by bounding-box width, narrowest first
 (outermost). Once the first k coordinates are fixed, the facets of P's
 projection onto the first k+1 axes, scaled by t, give the range of the next
 coordinate in closed form, so every prefix enumerated lies in the projection
-of tP and no dead part of the bounding box is walked. The last axis is
-resolved per line: the slice of a convex body along a lattice line is an
-interval, so its integer count is floor(hi) - ceil(lo) + 1. The projections
-do not depend on t; they are built once per polytope object
-(`LatticePolytope.lift_plan`) and reused by every dilate, closed and
-interior. Partial sums are carried down the levels incrementally, in plain
-Python ints. An interior count tightens each facet of P by one and keeps
-the other projection facets closed; those admit a superset of the interior
-points' prefixes, so the count stays exact.
+of tP and no dead part of the bounding box is walked. The last two axes are
+counted together in closed form, with no loop over the lines of the last
+axis: once the other coordinates are fixed, the top and the bottom of a line
+are each the lowest of a few linear functions of the line's position x, so
+the slice splits into pieces on which one row bounds each side, and on each
+piece the sum of floor(top) + floor(bottom) + 1 over x is a Euclid-like
+floor sum (Graham-Knuth-Patashnik, Concrete Mathematics, section 3.5). A
+count costs the prefixes of the outer levels times a few rows and pieces,
+however long its slices are. The projections do not depend on t; they are
+built once per polytope object (`LatticePolytope.lift_plan`) and reused by
+every dilate, closed and interior. Partial sums are carried down the levels
+incrementally, in plain Python ints. An interior count tightens each facet
+of P by one and keeps the other projection facets closed; those admit a
+superset of the interior points' prefixes, so the count stays exact, as the
+slice counts only the x where its tightened lines are not empty.
 """
 
 from __future__ import annotations
@@ -22,45 +28,130 @@ from __future__ import annotations
 from .geometry import LatticePolytope, _require_full_dimensional
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a*i + b) / m) over i = 0..n-1, for m >= 1.
+
+    The Euclid-like reduction of Graham-Knuth-Patashnik (Concrete
+    Mathematics, section 3.5), in the loop form of the AtCoder Library's
+    floor_sum: `divmod` takes the whole parts of a/m and b/m out, which
+    also normalises negative a and b, and then the lattice points under the
+    line are counted along the other axis, a smaller instance.
+    """
+    total = 0
+    while True:
+        q, a = divmod(a, m)
+        total += q * (n * (n - 1) // 2)
+        q, b = divmod(b, m)
+        total += q * n
+        y = a * n + b
+        if y < m:
+            return total
+        n, b = divmod(y, m)
+        m, a = a, m
+
+
+def _envelope(rows, lo: int, hi: int) -> list[tuple[int, int, int, int]]:
+    """The pieces of min over `rows` of (s - a*x)/e on the integers lo..hi.
+
+    `rows` holds (s, a, e) with e > 0 and lo <= hi. Returns (end, s, a, e)
+    per piece, left to right: the row is lowest from the integer after the
+    previous piece's end (lo for the first) up to `end`, and the last piece
+    ends at hi. At each start the lowest row is chosen, the steepest among
+    ties, so only a steeper row can take over; it does so after the floor
+    of the crossing. Rows are compared by cross multiplication, in
+    integers only.
+    """
+    if len(rows) == 1:
+        return [(hi, *rows[0])]
+    pieces = []
+    x = lo
+    s, a, e = rows[0]
+    while True:
+        v = s - a * x
+        for s2, a2, e2 in rows:
+            v2 = s2 - a2 * x
+            if v2 * e < v * e2 or (v2 * e == v * e2 and a2 * e > a * e2):
+                s, a, e, v = s2, a2, e2, v2
+        end = hi
+        for s2, a2, e2 in rows:
+            steeper = a2 * e - a * e2
+            if steeper > 0:
+                crossing = (s2 * e - s * e2) // steeper
+                if crossing < end:
+                    end = crossing
+        pieces.append((end, s, a, e))
+        if end == hi:
+            return pieces
+        x = end + 1
+
+
+def _slice(upper, lower, lo: int, hi: int) -> int:
+    """Lattice points (x, y) with lo <= x <= hi under every row of both sides.
+
+    Each row is (s, a, e) with e > 0: an upper row bounds y above by
+    (s - a*x)/e, and a lower row bounds -y above the same way. The two
+    envelopes are merged into pieces on which one row of each side is
+    active; on each piece the line counts floor(top) + floor(bottom) + 1
+    are summed in closed form over the x where top + bottom >= 0. There the
+    count is >= 0, and elsewhere it is < 0 and clamps to an empty line, so
+    a slice that is empty in places (as tightened interior slices can be)
+    is still counted exactly.
+    """
+    ups = _envelope(upper, lo, hi)
+    downs = _envelope(lower, lo, hi)
+    total = 0
+    x = lo
+    i = j = 0
+    while x <= hi:
+        up_end, s, a, e = ups[i]
+        down_end, t, b, f = downs[j]
+        end = min(up_end, down_end)
+        # top + bottom >= 0 is c - g*x >= 0
+        c, g = s * f + t * e, a * f + b * e
+        first, last = x, end
+        if g > 0:
+            last = min(last, c // g)
+        elif g < 0:
+            first = max(first, -(c // -g))
+        elif c < 0:
+            last = first - 1
+        n = last - first + 1
+        if n > 0:
+            total += (
+                _floor_sum(n, e, -a, s - a * first)
+                + _floor_sum(n, f, -b, t - b * first)
+                + n
+            )
+        x = end + 1
+        i += up_end == end
+        j += down_end == end
+    return total
+
+
 def _lift(levels, slack, k: int) -> int:
     """Points of the tower above one prefix y_0..y_{k-1}, from level k on.
 
     `slack` holds b - (a . prefix) for every row of levels k and above, in
     plan order. The range of y_k is read off level k's rows in closed form;
-    fixing y_k = x takes a_k x off the slack of every row above. The last two
-    levels are fused into one loop over the lines of the last axis.
+    fixing y_k = x takes a_k x off the slack of every row above. The last
+    two levels are one slice, counted by `_slice` with no loop over x.
     """
     upper, lower, above = levels[k]
     hi = min([s // a for s, a in zip(slack, upper)])
     lo = -min([s // a for s, a in zip(slack[len(upper):], lower)])
     if k == len(levels) - 1:
         return hi - lo + 1 if hi >= lo else 0
+    if hi < lo:
+        return 0
     rest = slack[len(upper) + len(lower):]
-    if k < len(levels) - 2:
-        total = 0
-        for x in range(lo, hi + 1):
-            total += _lift(levels, [s - a * x for s, a in zip(rest, above)], k + 1)
-        return total
-    # the hot loop: one pass per line, plain loops (no comprehension per line)
-    line_upper, line_lower, _ = levels[k + 1]
-    n = len(line_upper)
-    (s0, a0, e0), *tops = zip(rest, above, line_upper)
-    (s1, a1, e1), *bottoms = zip(rest[n:], above[n:], line_lower)
+    if k == len(levels) - 2:
+        line_upper, line_lower, _ = levels[k + 1]
+        rows = list(zip(rest, above, line_upper + line_lower))
+        n = len(line_upper)
+        return _slice(rows[:n], rows[n:], lo, hi)
     total = 0
     for x in range(lo, hi + 1):
-        top = (s0 - a0 * x) // e0
-        for s, a, e in tops:
-            q = (s - a * x) // e
-            if q < top:
-                top = q
-        bottom = (s1 - a1 * x) // e1
-        for s, a, e in bottoms:
-            q = (s - a * x) // e
-            if q < bottom:
-                bottom = q
-        # the line holds -bottom <= y <= top
-        if top + bottom >= 0:
-            total += top + bottom + 1
+        total += _lift(levels, [s - a * x for s, a in zip(rest, above)], k + 1)
     return total
 
 

@@ -4,17 +4,19 @@ The counting helpers here deliberately avoid the library's half-space
 machinery: membership goes through convex-combination feasibility
 (Caratheodory over vertex subsets) with a locally written exact solver, so
 counting tests have a second, independent route to the same numbers. The
-triangulation oracle re-hulls every face it visits in its own chart, so it
-shares no face-lattice code with `geometry._triangulate`. The ray oracle
-scans every (k-1)-subset of the rows where the library adds rows one at a
-time. The hull and intersection oracles scan hyperplanes and vertices
-directly, by null vectors of point differences and by Cramer's rule with a
-Leibniz determinant, not by extreme rays, and the vertex oracle tests the
-rank of each point's tight normals. The shift oracle expands p(t + delta)
-binomially, so the census polynomial can be compared coefficient by
-coefficient with the pyramid's enumerator evaluated at n - 1. The pyramid
-oracle builds the pyramid from P's own facets, where the library hulls its
-base and apex.
+line-scan oracle walks the library's projection tower but resolves every
+lattice line of the last axis on its own, so it checks the closed-form
+slice kernel line by line. The triangulation oracle re-hulls every face it
+visits in its own chart, so it shares no face-lattice code with
+`geometry._triangulate`. The ray oracle scans every (k-1)-subset of the
+rows where the library adds rows one at a time. The hull and intersection
+oracles scan hyperplanes and vertices directly, by null vectors of point
+differences and by Cramer's rule with a Leibniz determinant, not by extreme
+rays, and the vertex oracle tests the rank of each point's tight normals.
+The shift oracle expands p(t + delta) binomially, so the census polynomial
+can be compared coefficient by coefficient with the pyramid's enumerator
+evaluated at n - 1. The pyramid oracle builds the pyramid from P's own
+facets, where the library hulls its base and apex.
 """
 
 from __future__ import annotations
@@ -165,6 +167,34 @@ def count_points_partitioned(P, t: int, interior: bool = False, slabs: int = 2) 
 def box_scan_count(P, t: int, interior: bool = False) -> int:
     """Box-scan count of tP in one slab."""
     return count_points_partitioned(P, t, interior, slabs=1)
+
+
+def line_scan_count(P, t: int, interior: bool = False) -> int:
+    """Count of tP over `P.lift_plan`, one lattice line of the last axis at a time.
+
+    The reference for `counting._slice`: it walks the same projection tower
+    as `count_points` but resolves each line on its own, as
+    floor(top) - ceil(bottom) + 1 from the facets of P, with no envelope,
+    no crossing and no floor sum.
+    """
+    plan = P.lift_plan
+    levels = plan.levels
+    shrink = plan.strict if interior else [0] * len(plan.strict)
+    slack = [t * b - s for b, s in zip(plan.offsets, shrink)]
+
+    def rec(k: int, slack) -> int:
+        upper, lower, above = levels[k]
+        n = len(upper)
+        hi = min(s // a for s, a in zip(slack, upper))
+        lo = -min(s // a for s, a in zip(slack[n:], lower))
+        if k == len(levels) - 1:
+            return max(hi - lo + 1, 0)
+        rest = slack[n + len(lower):]
+        return sum(
+            rec(k + 1, [s - a * x for s, a in zip(rest, above)]) for x in range(lo, hi + 1)
+        )
+
+    return rec(0, slack)
 
 
 def subset_scan_rays(rows, k: int) -> list[tuple[tuple[int, ...], frozenset[int]]]:

@@ -3,6 +3,9 @@
 `box_scan_count` (conftest) walks the whole bounding box of tP in index
 order; `count_points` walks a tower of projections in width order. The two
 share no code, so every equality below is a differential check.
+`line_scan_count` (conftest) walks the same tower as `count_points` but
+resolves each line of the last axis on its own, so it checks the closed-form
+slices alone, at larger dilates than the box scan affords.
 """
 
 from fractions import Fraction
@@ -11,7 +14,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import box_scan_count, cross_polytope
+from conftest import box_scan_count, cross_polytope, line_scan_count
 from latticemini import (
     HalfSpace,
     LatticePolytope,
@@ -137,6 +140,31 @@ def test_thin_property(case):
             assert count_points(P, t, interior=interior) == box_scan_count(
                 moved, t, interior
             ), (t, interior, d)
+
+
+def assert_matches_line_scan(P, dilates):
+    for t in dilates:
+        for interior in (False, True):
+            assert count_points(P, t, interior=interior) == line_scan_count(
+                P, t, interior
+            ), (t, interior)
+
+
+@given(P=sheared_polytopes())
+@settings(max_examples=40, deadline=None)
+def test_slices_match_the_line_scan(P):
+    # the line scan walks the same tower, so it affords longer slices than
+    # the box scan: dilates up to 8 within the same line budget
+    assert_matches_line_scan(P, range(oracle_t_max(P, cap=8) + 1))
+
+
+@given(case=thin_polytopes())
+@settings(max_examples=30, deadline=None)
+def test_thin_slices_match_the_line_scan(case):
+    # the stretched axis comes last, and at t = 1..3 most tightened
+    # interior lines are empty, so each slice is clipped to where it is not
+    P, _ = case
+    assert_matches_line_scan(P, range(1, 4))
 
 
 @pytest.mark.parametrize(
