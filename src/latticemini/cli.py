@@ -70,6 +70,8 @@ def parse_polytope(text: str) -> LatticePolytope:
 def _load_json(text: str):
     try:
         return json.loads(text)
+    except RecursionError:
+        raise PolytopeParseError("JSON nested too deeply to read") from None
     except json.JSONDecodeError as exc:
         raise PolytopeParseError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",

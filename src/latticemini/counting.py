@@ -2,30 +2,85 @@
 
 This is the package's hot path: project-and-lift enumeration, as in Normaliz
 (Bruns-Ichim), which is Fourier-Motzkin projection applied to lattice
-points. P's axes are ordered by bounding-box width, narrowest first
-(outermost). Once the first k coordinates are fixed, the facets of P's
-projection onto the first k+1 axes, scaled by t, give the range of the next
-coordinate in closed form, so every prefix enumerated lies in the projection
-of tP and no dead part of the bounding box is walked. The last two axes are
-counted together in closed form, with no loop over the lines of the last
-axis: once the other coordinates are fixed, the top and the bottom of a line
-are each the lowest of a few linear functions of the line's position x, so
-the slice splits into pieces on which one row bounds each side, and on each
-piece the sum of floor(top) + floor(bottom) + 1 over x is a Euclid-like
-floor sum (Graham-Knuth-Patashnik, Concrete Mathematics, section 3.5). A
-count costs the prefixes of the outer levels times a few rows and pieces,
-however long its slices are. The projections do not depend on t; they are
-built once per polytope object (`LatticePolytope.lift_plan`) and reused by
-every dilate, closed and interior. Partial sums are carried down the levels
-incrementally, in plain Python ints. An interior count tightens each facet
-of P by one and keeps the other projection facets closed; those admit a
-superset of the interior points' prefixes, so the count stays exact, as the
-slice counts only the x where its tightened lines are not empty.
+points, over P's projection tower (`LiftPlan`). Its axes are P's axes by
+bounding-box width, narrowest first (outermost), ties by index. Level k
+holds the facets a.y <= b of P's projection onto axes 0..k with a_k != 0:
+once y_0..y_{k-1} are fixed, they bound y_k above (a_k > 0) and below
+(a_k < 0), scaled by t, so every prefix enumerated lies in the projection
+of tP. A facet with a_k = 0 is implied by the level below and dropped; a
+facet of P sits in the level of its last nonzero coefficient. The tower
+does not depend on t, so `LatticePolytope.lift_plan` builds it once per
+object. An interior count tightens each facet of P by one and keeps the
+other rows closed; it stays exact, as those admit a superset of the
+interior points' prefixes and the slice counts only the x where its lines
+are not empty.
+
+The last two axes are one slice, counted in closed form with no loop over
+its lines: the top and the bottom of the line at x are each the lowest of a
+few linear functions of x, so the slice splits into pieces on which one row
+bounds each side, and on each piece the sum of floor(top) + floor(bottom) +
+1 is a Euclid-like floor sum (Graham-Knuth-Patashnik, Concrete Mathematics,
+section 3.5). A count costs the prefixes of the outer levels times a few
+rows and pieces, however long its slices are.
 """
 
 from __future__ import annotations
 
-from .geometry import LatticePolytope, _require_full_dimensional
+from dataclasses import dataclass
+
+from .geometry import (
+    LatticePolytope,
+    _facet_halfspaces,
+    _require_full_dimensional,
+    bounding_box,
+)
+
+
+@dataclass(frozen=True)
+class LiftPlan:
+    """P's projection tower, row by row, as the module docstring lays it out.
+
+    offsets   b of every row, level by level, each level's upper bounds first
+    strict    1 for a facet of P (a row an interior count tightens), else 0
+    levels    per level k: (a_k of its upper rows, -a_k of its lower rows,
+              a_k of every row of the levels above k, in row order)
+    """
+
+    offsets: tuple[int, ...]
+    strict: tuple[int, ...]
+    levels: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+
+
+def _lift_plan(P: LatticePolytope) -> LiftPlan:
+    d = P.ambient_dim
+    mins, maxs = bounding_box(P)
+    order = sorted(range(d), key=lambda j: (maxs[j] - mins[j], j))
+    verts = [tuple(v[j] for j in order) for v in P.vertices]
+    own = {(tuple(h.normal[j] for j in order), h.offset) for h in P.halfspaces}
+    rows, split = [], []
+    for k in range(d):
+        if k < d - 1:
+            shadow = sorted({v[: k + 1] for v in verts})
+            facets = [(h.normal, h.offset) for h, _ in _facet_halfspaces(shadow, k + 1)]
+        else:
+            facets = sorted(own)
+        pad = (0,) * (d - 1 - k)
+        upper = [(n + pad, b) for n, b in facets if n[k] > 0]
+        lower = [(n + pad, b) for n, b in facets if n[k] < 0]
+        rows += upper + lower
+        split.append((upper, lower, len(rows)))
+    return LiftPlan(
+        tuple(b for _, b in rows),
+        tuple(int(row in own) for row in rows),
+        tuple(
+            (
+                tuple(n[k] for n, _ in upper),
+                tuple(-n[k] for n, _ in lower),
+                tuple(n[k] for n, _ in rows[end:]),
+            )
+            for k, (upper, lower, end) in enumerate(split)
+        ),
+    )
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:

@@ -20,9 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd
+from typing import TYPE_CHECKING
 
 from . import _linalg as la
 from .errors import ConstructionError, NotFullDimensionalError, UnsupportedInputError
+
+if TYPE_CHECKING:
+    from .counting import LiftPlan
 
 
 @dataclass(frozen=True)
@@ -62,11 +66,8 @@ class LatticePolytope:
 
     @cached_property
     def lift_plan(self) -> LiftPlan:
-        """The projection tower of a full-dimensional P, built on first use.
-
-        It does not depend on the dilate, so every count of this object,
-        closed or interior, reuses it.
-        """
+        """`counting`'s projection tower of a full-dimensional P, built on first use."""
+        from .counting import _lift_plan  # here, as counting imports this module
         return _lift_plan(self)
 
     def __repr__(self) -> str:  # the default dataclass repr is unreadably long
@@ -76,69 +77,11 @@ class LatticePolytope:
         )
 
 
-@dataclass(frozen=True)
-class LiftPlan:
-    """P as a tower of coordinate projections, read by project-and-lift counting.
-
-    The tower's axes are P's axes ordered by bounding-box width, narrowest
-    first, ties by index. Level k holds the facets a.y <= b of the
-    projection of P onto tower axes 0..k whose coefficient a_k is nonzero:
-    once y_0..y_{k-1} are fixed, they bound y_k above (a_k > 0) and below
-    (a_k < 0). The facets with a_k = 0 are dropped, as the level below
-    already implies them. The projection onto all d axes is P, so the last
-    level holds P's own facets; a facet of P whose last nonzero coefficient
-    is on axis k is also a facet of the projection onto axes 0..k, and sits
-    in level k.
-
-    offsets   b of every row, level by level, each level's upper bounds first
-    strict    1 for a row that is a facet of P, 0 otherwise: the rows that
-              an interior count tightens by one
-    levels    per level k: (a_k of its upper rows, -a_k of its lower rows,
-              a_k of every row of the levels above k, in row order)
-    """
-
-    offsets: tuple[int, ...]
-    strict: tuple[int, ...]
-    levels: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
-
-
 def bounding_box(P: LatticePolytope) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Componentwise (min, max) over the vertices; contains every point of P."""
     mins = tuple(min(v[j] for v in P.vertices) for j in range(P.ambient_dim))
     maxs = tuple(max(v[j] for v in P.vertices) for j in range(P.ambient_dim))
     return mins, maxs
-
-
-def _lift_plan(P: LatticePolytope) -> LiftPlan:
-    d = P.ambient_dim
-    mins, maxs = bounding_box(P)
-    order = sorted(range(d), key=lambda j: (maxs[j] - mins[j], j))
-    verts = [tuple(v[j] for j in order) for v in P.vertices]
-    own = {(tuple(h.normal[j] for j in order), h.offset) for h in P.halfspaces}
-    rows, split = [], []
-    for k in range(d):
-        if k < d - 1:
-            shadow = sorted({v[: k + 1] for v in verts})
-            facets = [(h.normal, h.offset) for h, _ in _facet_halfspaces(shadow, k + 1)]
-        else:
-            facets = sorted(own)
-        pad = (0,) * (d - 1 - k)
-        upper = [(n + pad, b) for n, b in facets if n[k] > 0]
-        lower = [(n + pad, b) for n, b in facets if n[k] < 0]
-        rows += upper + lower
-        split.append((upper, lower, len(rows)))
-    return LiftPlan(
-        tuple(b for _, b in rows),
-        tuple(int(row in own) for row in rows),
-        tuple(
-            (
-                tuple(n[k] for n, _ in upper),
-                tuple(-n[k] for n, _ in lower),
-                tuple(n[k] for n, _ in rows[end:]),
-            )
-            for k, (upper, lower, end) in enumerate(split)
-        ),
-    )
 
 
 def _require_full_dimensional(P: LatticePolytope, what: str) -> None:

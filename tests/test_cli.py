@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from latticemini import PolytopeParseError, TheoremViolationError
-from latticemini import cli, corpus, selfcheck
+from latticemini import cli, corpus, counting, selfcheck
 from latticemini.cli import decimal_string, main, parse_polytope
 
 # the `verify` suites, in the order they print
@@ -98,6 +98,18 @@ class TestSubcommands:
         )
         assert code == 0
         assert out.splitlines() == ["t,closed,interior", "0,1,0", "1,4,0", "2,9,1"]
+
+    def test_count_zero_dimensional(self, capsys, monkeypatch):
+        # a point has no projection tower; its counts are 1 closed, 0 interior
+        def no_tower(P):
+            raise AssertionError("a point has no projection tower")
+
+        monkeypatch.setattr(counting, "_lift_plan", no_tower)
+        code, out, _ = run_cli(
+            capsys, "count", "--input", '{"vertices": [[1, 2]]}', "--t-max", "2"
+        )
+        assert code == 0
+        assert out.splitlines() == ["t,closed,interior", "0,1,0", "1,1,0", "2,1,0"]
 
     def test_ehrhart_json(self, capsys):
         code, out, _ = run_cli(
@@ -238,6 +250,14 @@ class TestExitCodes:
         )
         assert code == 2
         assert "line 1" in err
+
+    @pytest.mark.parametrize("argv", [["count", "--t-max", "1"], ["pie"]])
+    def test_deeply_nested_json_is_precondition(self, capsys, argv):
+        # json.loads recurses once per bracket; the polytope path and the list path
+        code, _, err = run_cli(capsys, *argv, "--input", "[" * 100_000)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "nested too deeply" in err
 
     def test_non_integer_coordinate_echoed(self, capsys):
         code, _, err = run_cli(

@@ -25,7 +25,7 @@ from latticemini import (
     mu_limit_symbolic,
     pyramid,
 )
-from latticemini import corpus, geometry
+from latticemini import corpus, counting, geometry
 
 # box-scan prefixes an oracle call may walk: the bounding box's lines along
 # its last axis, which is what the scan's time grows with
@@ -176,13 +176,13 @@ def test_plan_is_built_once_per_polytope(P, monkeypatch):
     # a fresh object, so no count has built its projections yet
     P = LatticePolytope(P.ambient_dim, P.vertices, P.halfspaces, P.dim, P.volume_d)
     hulls = []
-    original = geometry._facet_halfspaces
+    original = counting._facet_halfspaces
 
     def counted(points, k):
         hulls.append(k)
         return original(points, k)
 
-    monkeypatch.setattr(geometry, "_facet_halfspaces", counted)
+    monkeypatch.setattr(counting, "_facet_halfspaces", counted)
     ehrhart_polynomial(P)  # closed counts at t = 0..d+2
     assert check_reciprocity(P, 3)  # interior counts at t = 1..3
     d = P.ambient_dim
