@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 from . import __version__, corpus
@@ -200,6 +201,8 @@ def _cmd_copies(config: RunConfig, out) -> int:
 def _cmd_mu(config: RunConfig, out) -> int:
     P = _resolve_polytope(config)
     report = mu_report(P, config.n_max)
+    d = P.ambient_dim
+    closed_form = P.volume_d / comb(2 * d + 1, d)
     if config.format == "json":
         _write_json(
             {
@@ -209,7 +212,7 @@ def _cmd_mu(config: RunConfig, out) -> int:
                     for n, r in report.ratios
                 ],
                 "limit": str(report.symbolic_limit),
-                "closed_form": str(report.closed_form),
+                "closed_form": str(closed_form),
                 "bound_constant": str(report.bound_constant),
             },
             out,
@@ -221,7 +224,7 @@ def _cmd_mu(config: RunConfig, out) -> int:
         writer.writerow([n, r.numerator, r.denominator, decimal_string(r)])
     prefix = "# " if config.format == "csv" else ""
     out.write(f"{prefix}limit = {report.symbolic_limit}\n")
-    out.write(f"{prefix}closed_form = {report.closed_form}\n")
+    out.write(f"{prefix}closed_form = {closed_form}\n")
     out.write(f"{prefix}bound_constant = {report.bound_constant}\n")
     return EXIT_OK
 

@@ -3,10 +3,12 @@
 For a full-dimensional lattice polytope the lattice-point enumerator is a
 degree-d polynomial with constant term 1, leading coefficient equal to the
 volume, and d! times every coefficient integral. Interpolation uses the
-smallest valid support (t = 0..d), by Newton's forward differences, and
-re-verifies against fresh counts at two extra nodes, so a silent counting or
-interpolation bug cannot survive (`polynomial._fitted`).
-The h*-vector of every polynomial is checked to be nonnegative (Stanley 1980).
+smallest valid support (t = 0..d), by Newton's forward differences;
+`polynomial._fitted` re-verifies it against fresh counts at two extra nodes,
+so a silent counting or interpolation bug cannot survive, and checks its
+degree and lead. `_check_shape` checks the rest: the constant term, the
+integrality of d! c_i, and that the h*-vector is nonnegative (Stanley 1980)
+and sums to d! vol.
 """
 
 from __future__ import annotations
@@ -31,25 +33,18 @@ class EhrhartPolynomial:
 def ehrhart_polynomial(P: LatticePolytope) -> EhrhartPolynomial:
     """Exact degree-d Ehrhart polynomial of a full-dimensional lattice polytope."""
     _require_full_dimensional(P, "the Ehrhart polynomial")
-    poly = _fitted(lambda t: count_points(P, t), P.ambient_dim, "interpolated enumerator")
+    poly = _fitted(
+        lambda t: count_points(P, t), P.ambient_dim, P.volume_d, "interpolated enumerator"
+    )
     _check_shape(poly, P)
     return EhrhartPolynomial(poly)
 
 
 def _check_shape(poly: RationalPolynomial, P: LatticePolytope) -> None:
     d = P.ambient_dim
-    if poly.degree != d:
-        raise InternalConsistencyError(
-            f"enumerator degree {poly.degree} != ambient dimension {d}"
-        )
     if poly.constant_term != 1:
         raise InternalConsistencyError(
             f"enumerator constant term {poly.constant_term} != 1"
-        )
-    if poly.leading_coefficient != P.volume_d:
-        raise InternalConsistencyError(
-            f"enumerator leading coefficient {poly.leading_coefficient} "
-            f"!= volume {P.volume_d}"
         )
     scale = factorial(d)
     for k, c in enumerate(poly.coeffs):

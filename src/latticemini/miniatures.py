@@ -3,11 +3,13 @@
 A horizontal lattice copy of P inside nP is a subset iP + a with integer
 scale i >= 1 and integer shift a; it stands for the miniature (iP + a)/n of
 resolution n, whose volume is (i/n)^d vol(P). The number of copies with
-scale i equals the lattice-point count L_P(n - i), the census total
-H(n) = sum_{t<n} L_P(t) is a degree-(d+1) polynomial in n, and the mean
-miniature volume converges to vol(P) / C(2d+1, d). Every L_P(t) is read off
-the verified Ehrhart polynomial of P, so censuses and ratio sequences cost
-O(n) polynomial evaluations and d+3 lattice-point counts. The pyramid route,
+scale i equals the lattice-point count L_P(n - i), so the census moment
+M_m(n) = sum_{i=1..n} i^m L_P(n - i) is a polynomial in n of degree m+d+1.
+The census total is H = M_0, the numerator N(n) = n^d * (total miniature
+volume) is vol(P) M_d, and the mean miniature volume N(n) / (n^d H(n))
+converges to vol(P) / C(2d+1, d). Every L_P(t) is read off the verified
+Ehrhart polynomial of P, so censuses and ratio sequences cost O(n)
+polynomial evaluations and d+3 lattice-point counts. The pyramid route,
 H(n) = L_Pyr(n - 1), is the `verify` cross-check miniatures.pyramid-identity.
 Intersections come from `geometry`. Everything here is exact: the limit is
 extracted from interpolated leading coefficients, not floats.
@@ -57,12 +59,11 @@ class MuReport:
     """Finite-resolution ratio sequence with its exact limit.
 
     bound_constant is the observed constant C with
-    |ratio(n) - closed_form| <= C / n over the computed range.
+    |ratio(n) - symbolic_limit| <= C / n over the computed range.
     """
 
     ratios: list[tuple[int, Fraction]]
     symbolic_limit: Fraction
-    closed_form: Fraction
     bound_constant: Fraction
 
 
@@ -85,60 +86,43 @@ def copy_census(P: LatticePolytope, n: int) -> CopyCensus:
     return CopyCensus(dilate=n, per_scale=per_scale, total=total, volume_sum=volume_sum)
 
 
-def _ehrhart_values(P: LatticePolytope) -> list[int]:
-    """L_P(t) for t = 0..2d+2, read off the verified Ehrhart polynomial of P.
+def _moment(P: LatticePolytope, values: list[int], m: int) -> RationalPolynomial:
+    """M_m(n) = sum_{i=1..n} i^m L(n-i), the m-th scale moment of the census.
 
-    Its d+3 counts are the only counts behind the census, numerator and limit.
-    """
-    L = ehrhart_polynomial(P).poly
-    return [int(L.evaluate(t)) for t in range(2 * P.ambient_dim + 3)]
-
-
-def _numerator(P: LatticePolytope, values) -> RationalPolynomial:
-    """N(n) = vol(P) sum_{i<n} (n-i)^d L(i), fitted through values of L and verified."""
-    d = P.ambient_dim
-
-    def sample(n: int) -> Fraction:
-        return P.volume_d * sum((n - i) ** d * values[i] for i in range(n))
-
-    N = _fitted(sample, 2 * d + 1, "numerator polynomial")
-    expected_lead = Fraction(factorial(d) ** 2, factorial(2 * d + 1)) * P.volume_d**2
-    if N.degree != 2 * d + 1 or N.leading_coefficient != expected_lead:
-        raise TheoremViolationError(
-            f"numerator leading coefficient {N.leading_coefficient} != "
-            f"d!d!/(2d+1)! vol^2 = {expected_lead}"
-        )
-    return N
-
-
-def _census(P: LatticePolytope, values) -> RationalPolynomial:
-    """H(n) = sum_{t<n} L(t), the census total, fitted through sums of values of L.
-
-    The fit is checked against fresh sums at n = d+2 and d+3, and H against
-    its shape: constant term 0, degree d+1 and lead vol(P)/(d+1).
+    Fitted through sums of values[t] = L_P(t) for t <= m+d+2, verified at
+    two fresh resolutions, and checked against its shape: degree m+d+1,
+    lead vol(P) m! d! / (m+d+1)! and constant term 0.
     """
     d = P.ambient_dim
-    H = _fitted(lambda n: sum(values[:n]), d + 1, "copy polynomial")
-    if H.constant_term != 0:
+
+    def sample(n: int) -> int:
+        return sum(i**m * values[n - i] for i in range(1, n + 1))
+
+    lead = P.volume_d * Fraction(factorial(m) * factorial(d), factorial(m + d + 1))
+    M = _fitted(sample, m + d + 1, lead, f"census moment M_{m}")
+    if M.constant_term != 0:
         raise InternalConsistencyError(
-            f"copy polynomial constant term {H.constant_term} != 0"
+            f"census moment M_{m} constant term {M.constant_term} != 0"
         )
-    if H.degree != d + 1 or H.leading_coefficient != P.volume_d / (d + 1):
-        raise InternalConsistencyError(
-            "copy polynomial shape mismatch: degree "
-            f"{H.degree}, lead {H.leading_coefficient}"
-        )
-    return H
+    return M
 
 
 def _census_and_numerator(P: LatticePolytope):
-    """(H, N, limit) for a full-dimensional P: H and N each verified, and the
-    limit N.lead/H.lead checked against the closed form vol/C(2d+1, d)."""
-    values = _ehrhart_values(P)
-    N = _numerator(P, values)
-    H = _census(P, values)
-    limit = N.leading_coefficient / H.leading_coefficient
+    """(H, N, limit) for a full-dimensional P: H = M_0 is the census total,
+    N = vol(P) M_d the numerator, and the limit N.lead/H.lead is checked
+    against the closed form vol/C(2d+1, d).
+
+    L_P(t) for t = 0..2d+2 is read once off the verified Ehrhart polynomial,
+    whose d+3 counts are the only counts behind H, N and the limit.
+    """
     d = P.ambient_dim
+    L = ehrhart_polynomial(P).poly
+    # L takes integers at t = 0..d, so it is integer-valued at every t
+    values = [int(L.evaluate(t)) for t in range(2 * d + 3)]
+    H = _moment(P, values, 0)
+    M_d = _moment(P, values, d)
+    N = RationalPolynomial.from_coeffs(P.volume_d * c for c in M_d.coeffs)
+    limit = N.leading_coefficient / H.leading_coefficient
     closed = P.volume_d / comb(2 * d + 1, d)
     if limit != closed:
         raise TheoremViolationError(
@@ -150,14 +134,16 @@ def _census_and_numerator(P: LatticePolytope):
 def copy_polynomial(P: LatticePolytope) -> RationalPolynomial:
     """The polynomial H_P with H_P(n) = census total at resolution n.
 
-    Fitted through the census totals sum_{t<n} L_P(t) and verified against
-    fresh ones; it costs the d+3 counts of the Ehrhart polynomial of P. Its
+    H_P is the census moment M_0, fitted through the census totals
+    sum_{t<n} L_P(t) and verified against fresh ones, on the one route that
+    also gives N and the limit; it costs the d+3 counts of the Ehrhart
+    polynomial of P. Its
     constant term vanishes and its leading coefficient is vol(P)/(d+1). It
     equals the Ehrhart polynomial of the pyramid over P evaluated at n - 1,
     which `verify` checks.
     """
     _require_full_dimensional(P, "the copy polynomial")
-    return _census(P, _ehrhart_values(P))
+    return _census_and_numerator(P)[0]
 
 
 def mu_ratio(P: LatticePolytope, n: int) -> Fraction:
@@ -173,7 +159,7 @@ def numerator_polynomial(P: LatticePolytope) -> RationalPolynomial:
     leading coefficient d! d! / (2d+1)! * vol(P)^2.
     """
     _require_full_dimensional(P, "the numerator polynomial")
-    return _numerator(P, _ehrhart_values(P))
+    return _census_and_numerator(P)[1]
 
 
 def mu_limit_symbolic(P: LatticePolytope) -> Fraction:
@@ -201,16 +187,13 @@ def mu_report(P: LatticePolytope, n_max: int) -> MuReport:
         return MuReport(
             ratios=[(n, zero) for n in range(1, n_max + 1)],
             symbolic_limit=zero,
-            closed_form=zero,
             bound_constant=zero,
         )
     d = P.ambient_dim
     H, N, limit = _census_and_numerator(P)
     ratios = [(n, N(n) / (n**d * H(n))) for n in range(1, n_max + 1)]
     bound = max(abs(r - limit) * n for n, r in ratios)
-    return MuReport(
-        ratios=ratios, symbolic_limit=limit, closed_form=limit, bound_constant=bound
-    )
+    return MuReport(ratios=ratios, symbolic_limit=limit, bound_constant=bound)
 
 
 def mu_inclusion_exclusion(parts) -> Fraction:

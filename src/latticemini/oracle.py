@@ -4,7 +4,8 @@ The enumerator searches an explicit shift box for every scale factor and
 keeps a copy iff all its vertices pass the half-space membership test; it
 never touches the census or polynomial machinery, so agreement between the
 two paths is meaningful evidence. `sum_prod_poly` fits explicit sums with
-`polynomial._fitted`. Hard input guards keep runs reproducible.
+`polynomial._fitted`, which also checks their degree and lead. Hard input
+guards keep runs reproducible.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
-from .errors import ResourceLimitError, TheoremViolationError
+from .errors import ResourceLimitError
 from .geometry import (
     LatticePolytope,
     _require_full_dimensional,
@@ -99,11 +100,5 @@ def sum_prod_poly(p: int, q: int) -> RationalPolynomial:
     def sample(n: int) -> int:
         return sum(i**p * (n - i) ** q for i in range(1, n + 1))
 
-    poly = _fitted(sample, p + q + 1, "power-product sum")
-    expected = Fraction(factorial(p) * factorial(q), factorial(p + q + 1))
-    if poly.leading_coefficient != expected:
-        raise TheoremViolationError(
-            f"power-product sum leading coefficient {poly.leading_coefficient} "
-            f"!= p!q!/(p+q+1)! = {expected}"
-        )
-    return poly
+    lead = Fraction(factorial(p) * factorial(q), factorial(p + q + 1))
+    return _fitted(sample, p + q + 1, lead, "power-product sum")

@@ -2,7 +2,10 @@
 
 Coefficients are stored lowest degree first and kept canonical (no trailing
 zeros), so equality is coefficient-wise equality and degree is implicit.
-`_fitted` is the one fit-and-check, for L, H, N and the oracle's sums.
+`_fitted` is the one fit-and-check, for L, the census moments behind H and
+N, and the oracle's power-product sums: it verifies each fit at two fresh
+samples, then checks its degree and leading coefficient against the closed
+form the theorem gives.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Sequence
 
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, TheoremViolationError
 
 
 def _canonical(coeffs: Iterable) -> tuple[Fraction, ...]:
@@ -115,9 +118,13 @@ class RationalPolynomial:
         return self.pretty()
 
 
-def _fitted(sample, degree: int, what: str) -> RationalPolynomial:
-    """The polynomial through sample(0..degree), checked against sample at
-    degree+1 and degree+2; a mismatch raises InternalConsistencyError."""
+def _fitted(sample, degree: int, lead: Fraction, what: str) -> RationalPolynomial:
+    """The polynomial through sample(0..degree), of the given degree and lead.
+
+    The fit is checked against sample at degree+1 and degree+2; a mismatch
+    raises InternalConsistencyError. A fit of another degree or leading
+    coefficient than the closed form `lead` raises TheoremViolationError.
+    """
     poly = RationalPolynomial.interpolate([sample(k) for k in range(degree + 1)])
     for k in (degree + 1, degree + 2):
         expected = sample(k)
@@ -126,4 +133,9 @@ def _fitted(sample, degree: int, what: str) -> RationalPolynomial:
                 f"{what} disagrees with a fresh sample at {k}: "
                 f"{poly.evaluate(k)} != {expected}"
             )
+    if poly.degree != degree or poly.leading_coefficient != lead:
+        raise TheoremViolationError(
+            f"{what} has degree {poly.degree} and leading coefficient "
+            f"{poly.leading_coefficient}, not degree {degree} and lead {lead}"
+        )
     return poly

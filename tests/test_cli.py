@@ -311,6 +311,109 @@ def test_all_presets_resolve(capsys):
         assert json.loads(out)["coeffs"][0] == "1"
 
 
+# -- whole outputs, byte for byte --
+
+PENTAGON_ROWS = """\
+n,ratio_num,ratio_den,ratio_decimal
+1,5,1,5.000000000000
+2,35,22,1.590909090909
+3,13,12,1.083333333333
+4,25,28,0.892857142857
+5,31,39,0.794871794872
+6,1505,2046,0.735581622678
+"""
+
+PENTAGON_JSON = """\
+{
+  "ratios": [
+    {
+      "n": 1,
+      "num": "5",
+      "den": "1",
+      "decimal": "5.000000000000"
+    },
+    {
+      "n": 2,
+      "num": "35",
+      "den": "22",
+      "decimal": "1.590909090909"
+    },
+    {
+      "n": 3,
+      "num": "13",
+      "den": "12",
+      "decimal": "1.083333333333"
+    },
+    {
+      "n": 4,
+      "num": "25",
+      "den": "28",
+      "decimal": "0.892857142857"
+    },
+    {
+      "n": 5,
+      "num": "31",
+      "den": "39",
+      "decimal": "0.794871794872"
+    },
+    {
+      "n": 6,
+      "num": "1505",
+      "den": "2046",
+      "decimal": "0.735581622678"
+    }
+  ],
+  "limit": "1/2",
+  "closed_form": "1/2",
+  "bound_constant": "9/2"
+}
+"""
+
+WHOLE_OUTPUTS = [
+    pytest.param(
+        ["mu", "--preset", "pentagon", "--n-max", "6", "--format", "csv"],
+        PENTAGON_ROWS + "# limit = 1/2\n# closed_form = 1/2\n# bound_constant = 9/2\n",
+        id="mu-csv",
+    ),
+    pytest.param(
+        ["mu", "--preset", "pentagon", "--n-max", "6", "--format", "json"],
+        PENTAGON_JSON,
+        id="mu-json",
+    ),
+    pytest.param(
+        ["mu", "--preset", "pentagon", "--n-max", "6"],
+        PENTAGON_ROWS + "limit = 1/2\nclosed_form = 1/2\nbound_constant = 9/2\n",
+        id="mu-human",
+    ),
+    pytest.param(
+        ["mu", "--input", '{"vertices":[[0,0],[2,2]]}', "--n-max", "3"],
+        "n,ratio_num,ratio_den,ratio_decimal\n"
+        "1,0,1,0.000000000000\n"
+        "2,0,1,0.000000000000\n"
+        "3,0,1,0.000000000000\n"
+        "limit = 0\nclosed_form = 0\nbound_constant = 0\n",
+        id="mu-lower-dimensional",
+    ),
+    pytest.param(
+        ["copies", "--preset", "triangle", "--n", "4"],
+        "i,count,weighted\n1,10,10\n2,6,24\n3,3,27\n4,1,16\n"
+        "total = 20\nvolume_sum = 77/32\n",
+        id="copies-human",
+    ),
+    pytest.param(
+        ["ehrhart", "--preset", "reeve"],
+        "L(t) = 1/3 t^3 + t^2 + 5/3 t + 1\n"
+        "coefficients (low to high): 1, 5/3, 1, 1/3\n",
+        id="ehrhart-human",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, want", WHOLE_OUTPUTS)
+def test_whole_output(capsys, argv, want):
+    assert run_cli(capsys, *argv) == (0, want, "")
+
+
 def test_module_entry_point():
     argv, env = module_command("copies", "--preset", "triangle", "--n", "4")
     proc = subprocess.run(argv, capture_output=True, text=True, env=env)

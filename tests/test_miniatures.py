@@ -225,13 +225,11 @@ class TestMuReport:
         report = mu_report(corpus.segment(1), 3)
         assert report.ratios == [(1, 1), (2, Fraction(2, 3)), (3, Fraction(5, 9))]
         assert report.symbolic_limit == Fraction(1, 3)
-        assert report.closed_form == Fraction(1, 3)
 
     def test_lower_dimensional_all_zero(self):
         report = mu_report(from_vertices([(0, 0), (2, 2)]), 4)
         assert report.ratios == [(n, 0) for n in range(1, 5)]
         assert report.symbolic_limit == 0
-        assert report.closed_form == 0
 
     def test_square_convergence_bound(self):
         report = mu_report(corpus.square(), 30)

@@ -3,10 +3,12 @@
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import shift_argument
-from latticemini import RationalPolynomial
+from latticemini import InternalConsistencyError, RationalPolynomial, TheoremViolationError
+from latticemini.polynomial import _fitted
 
 
 def test_trailing_zeros_stripped():
@@ -88,3 +90,22 @@ def test_pretty_rendering():
     assert p.pretty() == "t^3 - 1/2 t^2 + 1/3 t"
     assert RationalPolynomial.from_coeffs([5]).pretty() == "5"
     assert RationalPolynomial(()).pretty() == "0"
+
+
+# -- the fit-and-check: fresh samples first, then degree and lead --
+
+
+@pytest.mark.parametrize(
+    "sample, lead, error",
+    [
+        # n(n+1)/2 through n = 2, off by one at the first fresh node
+        (lambda n: n * (n + 1) // 2 + (n == 3), Fraction(1, 2), InternalConsistencyError),
+        (lambda n: n * (n + 1) // 2, Fraction(1, 3), TheoremViolationError),
+        # degree 1 with lead 1/2: the lead matches, the degree does not
+        (lambda n: Fraction(n, 2), Fraction(1, 2), TheoremViolationError),
+    ],
+    ids=["fresh-sample", "wrong-lead", "wrong-degree"],
+)
+def test_fitted_failure_names_what(sample, lead, error):
+    with pytest.raises(error, match="triangular"):
+        _fitted(sample, 2, lead, "triangular")

@@ -21,7 +21,7 @@ from latticemini import (
     numerator_polynomial,
     pyramid,
 )
-from latticemini import ehrhart
+from latticemini import ehrhart, miniatures
 
 # (name, polytope, n_max): every full-dimensional corpus entry, a d = 4 box
 # and the d = 4 and d = 5 simplices.
@@ -134,8 +134,9 @@ DIFF_CASES = [(name, P) for name, P, _ in CASES] + [SHEARED]
 
 
 def assert_polynomial_route_matches_box_scan(P):
-    """Census and ratios at n = 2d+5, past every interpolation node, against
-    a box scan of every dilate."""
+    """Census and ratios at n = 2d+5, past every interpolation node, and the
+    census moments M_0..M_d at every n <= 2d+5, against a box scan of every
+    dilate."""
     d = P.ambient_dim
     n = 2 * d + 5
     counts = [box_scan_count(P, t) for t in range(n)]
@@ -147,6 +148,13 @@ def assert_polynomial_route_matches_box_scan(P):
         total = sum(c for _, c in per_scale)
         ratios.append((m, P.volume_d * Fraction(weighted, m**d) / total))
     assert mu_report(P, n).ratios == ratios
+    L = ehrhart.ehrhart_polynomial(P).poly
+    values = [int(L(t)) for t in range(2 * d + 3)]
+    for k in range(d + 1):
+        moment = miniatures._moment(P, values, k)
+        assert [moment(m) for m in range(n + 1)] == [
+            sum(i**k * counts[m - i] for i in range(1, m + 1)) for m in range(n + 1)
+        ], k
 
 
 @pytest.mark.parametrize("name, P", DIFF_CASES, ids=[c[0] for c in DIFF_CASES])
