@@ -7,8 +7,9 @@ smallest valid support (t = 0..d), by Newton's forward differences;
 `polynomial._fitted` re-verifies it against fresh counts at two extra nodes,
 so a silent counting or interpolation bug cannot survive, and checks its
 degree and lead. `_check_shape` checks the rest: the constant term, the
-integrality of d! c_i, and that the h*-vector is nonnegative (Stanley 1980)
-and sums to d! vol.
+integrality of d! c_i, and that the h*-vector is nonnegative (Stanley 1980).
+The h*-vector of any degree-d polynomial with lead vol sums to d! vol, so
+that sum needs no check of its own.
 """
 
 from __future__ import annotations
@@ -56,10 +57,6 @@ def _check_shape(poly: RationalPolynomial, P: LatticePolytope) -> None:
     if any(h < 0 for h in h_star):
         raise InternalConsistencyError(
             f"h*-vector {[str(h) for h in h_star]} has a negative entry (Stanley 1980)"
-        )
-    if sum(h_star) != scale * P.volume_d:
-        raise InternalConsistencyError(
-            f"h*-vector sums to {sum(h_star)}, not {d}! * volume = {scale * P.volume_d}"
         )
 
 

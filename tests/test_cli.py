@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from latticemini import PolytopeParseError, TheoremViolationError
-from latticemini import cli, corpus, counting, selfcheck
+from latticemini import cli, corpus, counting, miniatures, selfcheck
 from latticemini.cli import decimal_string, main, parse_polytope
+from latticemini.geometry import HalfSpace
 
 # the `verify` suites, in the order they print
 SUITE_NAMES = [
@@ -286,6 +287,22 @@ class TestExitCodes:
         assert code == 3
         assert "forced" in err
 
+    def test_violated_limit_is_exit_three(self, capsys, monkeypatch):
+        # the square handed the enumerator of box(2, 1), of lead 2, not vol = 1:
+        # the fit of H = M_0 finds lead 2/3 where the theorem gives 1/3
+        real = miniatures.ehrhart_polynomial
+        monkeypatch.setattr(
+            miniatures,
+            "ehrhart_polynomial",
+            lambda P: real(corpus.box(2, 1) if P == corpus.square() else P),
+        )
+        with pytest.raises(TheoremViolationError, match="census moment M_0"):
+            miniatures.mu_limit_symbolic(corpus.square())
+        code, out, err = run_cli(capsys, "mu", "--preset", "square", "--n-max", "3")
+        assert code == 3
+        assert out == ""
+        assert "census moment M_0" in err
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--preset", "square", "--t-max", "2", "--frobnicate"])
@@ -369,6 +386,27 @@ PENTAGON_JSON = """\
 }
 """
 
+VERIFY_OUTPUT = """\
+PASS  geometry.hull-idempotence        6 point sets
+PASS  geometry.scaling-law             vol(kP) = k^d vol(P), k <= 5
+PASS  geometry.translation-invariance  volume and dim
+PASS  geometry.pyramid-volume          (d+1) vol(Pyr P) = vol(P)
+PASS  counting.monotonicity            t = 0..8
+PASS  counting.product-law             [0,1]^d gives (t+1)^d
+PASS  counting.lift-vs-membership      closed and interior, t = 1..3
+PASS  ehrhart.shape                    constant 1, lead = vol, d! c_i integral
+PASS  ehrhart.reciprocity              t <= 4 on the corpus
+PASS  miniatures.pyramid-identity      census polynomial shape and totals
+PASS  miniatures.volume-ratio-limit    limit = vol / C(2d+1, d)
+PASS  miniatures.numerator-lead        d!d!/(2d+1)! vol^2
+PASS  miniatures.census-monotone       totals strictly increase
+PASS  miniatures.census-vs-counts      polynomial census = direct counts, n = 2d+5
+PASS  oracle.census-equivalence        counts and averages match
+PASS  oracle.sum-product               lead = p!q!/(p+q+1)!, p,q <= 3
+PASS  miniatures.inclusion-exclusion   all three tilings exact
+17/17 suites passed
+"""
+
 WHOLE_OUTPUTS = [
     pytest.param(
         ["mu", "--preset", "pentagon", "--n-max", "6", "--format", "csv"],
@@ -406,6 +444,7 @@ WHOLE_OUTPUTS = [
         "coefficients (low to high): 1, 5/3, 1, 1/3\n",
         id="ehrhart-human",
     ),
+    pytest.param(["verify"], VERIFY_OUTPUT, id="verify"),
 ]
 
 
@@ -506,6 +545,19 @@ def _raising(real):
     return check
 
 
+def _bumped_offsets(real, bumped):
+    # the same polytope with every half-space offset one larger, where bumped
+    def call(P, arg):
+        Q = real(P, arg)
+        if not bumped(arg):
+            return Q
+        return replace(
+            Q, halfspaces=tuple(HalfSpace(h.normal, h.offset + 1) for h in Q.halfspaces)
+        )
+
+    return call
+
+
 def _reeve_for_square(real):
     # Reeve(2) has the square pyramid's volume 1/3, degree 3 and no interior
     # point, so only H(n) = L_Pyr(n - 1) tells it from the square's pyramid
@@ -546,6 +598,18 @@ def _reeve_for_square(real):
             "sum_prod_poly", _raising,
             "oracle.sum-product", "planted lead mismatch",
             id="raising-check",
+        ),
+        pytest.param(
+            "dilate", lambda real: _bumped_offsets(real, lambda k: k == 5),
+            "geometry.scaling-law", "segment1, k=5",
+            id="dilate-offsets",
+        ),
+        pytest.param(
+            # inclusion-exclusion translates the square by (1, 0); only the
+            # translation suite sees the other shifts
+            "translate", lambda real: _bumped_offsets(real, lambda a: a != (1, 0)),
+            "geometry.translation-invariance", "segment1, a=(-3,)",
+            id="translate-offsets",
         ),
         pytest.param(
             "pyramid", _reeve_for_square,
