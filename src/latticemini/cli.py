@@ -12,7 +12,8 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -21,6 +22,7 @@ from . import __version__, corpus
 from .counting import count_points
 from .ehrhart import ehrhart_polynomial
 from .errors import (
+    ConstructionError,
     InternalConsistencyError,
     LatticeMiniError,
     PolytopeParseError,
@@ -41,8 +43,10 @@ EXIT_INTERRUPTED = 130
 
 @dataclass
 class RunConfig:
+    """One run of a subcommand; each field is the dest of its parser option."""
+
     subcommand: str
-    input_path: str | None = None
+    input: str | None = None
     preset: str | None = None
     n: int | None = None
     n_max: int | None = None
@@ -64,8 +68,7 @@ def decimal_string(value: Fraction) -> str:
 
 def parse_polytope(text: str) -> LatticePolytope:
     """Parse the polytope JSON document {"vertices": [[int, ...], ...]}."""
-    doc = _load_json(text)
-    return _polytope_from_doc(doc)
+    return _polytope_from_doc(_load_json(text))
 
 
 def _load_json(text: str):
@@ -75,25 +78,21 @@ def _load_json(text: str):
         raise PolytopeParseError("JSON nested too deeply to read") from None
     except json.JSONDecodeError as exc:
         raise PolytopeParseError(
-            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            lineno=exc.lineno,
-            colno=exc.colno,
+            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
 
 
 def _polytope_from_doc(doc) -> LatticePolytope:
+    # the shape of the document is checked here, its coordinates by geometry
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise PolytopeParseError('expected a JSON object with a "vertices" key')
     rows = doc["vertices"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise PolytopeParseError('"vertices" must be a list of coordinate lists')
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise PolytopeParseError(
-                    f"non-integer coordinate at vertex {i}, index {j}: {x!r}"
-                )
-    return from_vertices(rows)
+    try:
+        return from_vertices(rows)
+    except ConstructionError as exc:
+        raise PolytopeParseError(str(exc)) from None
 
 
 def _read_input(spec: str) -> str:
@@ -114,27 +113,31 @@ def _read_input(spec: str) -> str:
 def _resolve_polytope(config: RunConfig) -> LatticePolytope:
     if config.preset is not None:
         return corpus.preset(config.preset)
-    if config.input_path is not None:
-        return parse_polytope(_read_input(config.input_path))
+    if config.input is not None:
+        return parse_polytope(_read_input(config.input))
     raise PolytopeParseError("no input polytope: pass --preset NAME or --input SPEC")
 
 
 def _resolve_polytope_list(config: RunConfig) -> list[LatticePolytope]:
-    if config.input_path is None:
+    if config.input is None:
         raise PolytopeParseError("this subcommand needs --input with a JSON list")
-    doc = _load_json(_read_input(config.input_path))
+    doc = _load_json(_read_input(config.input))
     if not isinstance(doc, list):
         raise PolytopeParseError("expected a JSON list of polytope objects")
     return [_polytope_from_doc(entry) for entry in doc]
 
 
-def _csv_writer(out):
-    return csv.writer(out, lineterminator="\n")
+def _table(out, header, rows) -> int:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return EXIT_OK
 
 
-def _write_json(doc, out) -> None:
+def _write_json(doc, out) -> int:
     json.dump(doc, out, indent=2)
     out.write("\n")
+    return EXIT_OK
 
 
 def _cmd_count(config: RunConfig, out) -> int:
@@ -144,57 +147,44 @@ def _cmd_count(config: RunConfig, out) -> int:
         for t in range(config.t_max + 1)
     ]
     if config.format == "json":
-        _write_json(
+        return _write_json(
             {"counts": [{"t": t, "closed": c, "interior": i} for t, c, i in rows]}, out
         )
-    else:
-        writer = _csv_writer(out)
-        writer.writerow(["t", "closed", "interior"])
-        writer.writerows(rows)
-    return EXIT_OK
+    return _table(out, ["t", "closed", "interior"], rows)
 
 
 def _cmd_ehrhart(config: RunConfig, out) -> int:
     P = _resolve_polytope(config)
     poly = ehrhart_polynomial(P).poly
     if config.format == "json":
-        _write_json({"coeffs": poly.coeff_strings()}, out)
-    elif config.format == "csv":
-        writer = _csv_writer(out)
-        writer.writerow(["k", "coeff"])
-        for k, c in enumerate(poly.coeffs):
-            writer.writerow([k, str(c)])
-    else:
-        out.write(f"L(t) = {poly.pretty()}\n")
-        out.write(f"coefficients (low to high): {', '.join(poly.coeff_strings())}\n")
+        return _write_json({"coeffs": poly.coeff_strings()}, out)
+    if config.format == "csv":
+        return _table(out, ["k", "coeff"], enumerate(poly.coeffs))
+    out.write(f"L(t) = {poly.pretty()}\n")
+    out.write(f"coefficients (low to high): {', '.join(poly.coeff_strings())}\n")
     return EXIT_OK
 
 
 def _cmd_copies(config: RunConfig, out) -> int:
     P = _resolve_polytope(config)
     census = copy_census(P, config.n)
-    d = P.ambient_dim
+    per_scale = sorted(census.per_scale.items())
     if config.format == "json":
-        _write_json(
+        return _write_json(
             {
                 "n": census.dilate,
-                "per_scale": {str(i): c for i, c in sorted(census.per_scale.items())},
+                "per_scale": {str(i): c for i, c in per_scale},
                 "total": census.total,
                 "volume_sum": str(census.volume_sum),
             },
             out,
         )
-        return EXIT_OK
-    writer = _csv_writer(out)
-    writer.writerow(["i", "count", "weighted"])
-    for i in sorted(census.per_scale):
-        c = census.per_scale[i]
-        writer.writerow([i, c, i**d * c])
+    rows = [(i, c, i**P.ambient_dim * c) for i, c in per_scale]
+    if config.format == "csv":
+        rows.append(("total", census.total, ""))
+    _table(out, ["i", "count", "weighted"], rows)
     if config.format == "human":
-        out.write(f"total = {census.total}\n")
-        out.write(f"volume_sum = {census.volume_sum}\n")
-    else:
-        writer.writerow(["total", census.total, ""])
+        out.write(f"total = {census.total}\nvolume_sum = {census.volume_sum}\n")
     return EXIT_OK
 
 
@@ -204,7 +194,7 @@ def _cmd_mu(config: RunConfig, out) -> int:
     d = P.ambient_dim
     closed_form = P.volume_d / comb(2 * d + 1, d)
     if config.format == "json":
-        _write_json(
+        return _write_json(
             {
                 "ratios": [
                     {"n": n, "num": str(r.numerator), "den": str(r.denominator),
@@ -217,11 +207,11 @@ def _cmd_mu(config: RunConfig, out) -> int:
             },
             out,
         )
-        return EXIT_OK
-    writer = _csv_writer(out)
-    writer.writerow(["n", "ratio_num", "ratio_den", "ratio_decimal"])
-    for n, r in report.ratios:
-        writer.writerow([n, r.numerator, r.denominator, decimal_string(r)])
+    _table(
+        out,
+        ["n", "ratio_num", "ratio_den", "ratio_decimal"],
+        [(n, r.numerator, r.denominator, decimal_string(r)) for n, r in report.ratios],
+    )
     prefix = "# " if config.format == "csv" else ""
     out.write(f"{prefix}limit = {report.symbolic_limit}\n")
     out.write(f"{prefix}closed_form = {closed_form}\n")
@@ -233,43 +223,30 @@ def _cmd_pie(config: RunConfig, out) -> int:
     parts = _resolve_polytope_list(config)
     value = mu_inclusion_exclusion(parts)
     if config.format == "json":
-        _write_json({"mu": str(value), "parts": len(parts)}, out)
-    elif config.format == "csv":
-        writer = _csv_writer(out)
-        writer.writerow(["mu"])
-        writer.writerow([str(value)])
-    else:
-        out.write(f"mu = {value} (union volume check: consistent)\n")
+        return _write_json({"mu": str(value), "parts": len(parts)}, out)
+    if config.format == "csv":
+        return _table(out, ["mu"], [[value]])
+    out.write(f"mu = {value} (union volume check: consistent)\n")
     return EXIT_OK
 
 
 def _cmd_oracle(config: RunConfig, out) -> int:
     P = _resolve_polytope(config)
     witnesses = enumerate_copies(P, config.n)
-    d = P.ambient_dim
     if config.summary:
-        per_scale: dict[int, int] = {}
-        for w in witnesses:
-            per_scale[w.scale] = per_scale.get(w.scale, 0) + 1
+        per_scale = sorted(Counter(w.scale for w in witnesses).items())
         if config.format == "json":
-            _write_json({"per_scale": {str(i): c for i, c in sorted(per_scale.items())},
-                         "total": len(witnesses)}, out)
-        else:
-            writer = _csv_writer(out)
-            writer.writerow(["i", "count"])
-            for i in sorted(per_scale):
-                writer.writerow([i, per_scale[i]])
-        return EXIT_OK
+            return _write_json(
+                {"per_scale": {str(i): c for i, c in per_scale}, "total": len(witnesses)},
+                out,
+            )
+        return _table(out, ["i", "count"], per_scale)
     if config.format == "json":
-        _write_json(
+        return _write_json(
             {"witnesses": [{"i": w.scale, "a": list(w.shift)} for w in witnesses]}, out
         )
-    else:
-        writer = _csv_writer(out)
-        writer.writerow(["i"] + [f"a{j + 1}" for j in range(d)])
-        for w in witnesses:
-            writer.writerow([w.scale, *w.shift])
-    return EXIT_OK
+    header = ["i"] + [f"a{j + 1}" for j in range(P.ambient_dim)]
+    return _table(out, header, [(w.scale, *w.shift) for w in witnesses])
 
 
 def _cmd_verify(config: RunConfig, out) -> int:
@@ -325,11 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", help="polytope JSON: file path, inline JSON, or -")
-            p.add_argument("--preset", choices=sorted(corpus.PRESETS),
-                           help="built-in polytope")
+    def add_common(p):
+        p.add_argument("--input", help="polytope JSON: file path, inline JSON, or -")
+        p.add_argument("--preset", choices=sorted(corpus.PRESETS), help="built-in polytope")
         p.add_argument("--format", choices=["csv", "json", "human"], default="human")
 
     p = sub.add_parser("count", help="lattice-point counts for t = 0..t_max")
@@ -364,16 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        input_path=getattr(args, "input", None),
-        preset=getattr(args, "preset", None),
-        n=getattr(args, "n", None),
-        n_max=getattr(args, "n_max", None),
-        t_max=getattr(args, "t_max", None),
-        format=getattr(args, "format", "human"),
-        summary=getattr(args, "summary", False),
-    )
+    """The parsed options as a RunConfig; those a subcommand lacks keep their defaults."""
+    given = vars(args)
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
 
 
 def main(argv=None) -> int:

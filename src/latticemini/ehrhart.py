@@ -6,17 +6,18 @@ volume, and d! times every coefficient integral. Interpolation uses the
 smallest valid support (t = 0..d), by Newton's forward differences;
 `polynomial._fitted` re-verifies it against fresh counts at two extra nodes,
 so a silent counting or interpolation bug cannot survive, and checks its
-degree and lead. `_check_shape` checks the rest: the constant term, the
-integrality of d! c_i, and that the h*-vector is nonnegative (Stanley 1980).
-The h*-vector of any degree-d polynomial with lead vol sums to d! vol, so
-that sum needs no check of its own.
+degree and lead. `_check_shape` checks the constant term and that the
+h*-vector is nonnegative (Stanley 1980). The rest needs no check of its own:
+a fit through integer counts at t = 0..d is sum_k (Delta^k L)(0) C(t, k)
+with integer differences, so d! c_i is integral, and the h*-vector of any
+degree-d polynomial with lead vol sums to d! vol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .counting import count_points
 from .errors import InternalConsistencyError
@@ -47,12 +48,6 @@ def _check_shape(poly: RationalPolynomial, P: LatticePolytope) -> None:
         raise InternalConsistencyError(
             f"enumerator constant term {poly.constant_term} != 1"
         )
-    scale = factorial(d)
-    for k, c in enumerate(poly.coeffs):
-        if (c * scale).denominator != 1:
-            raise InternalConsistencyError(
-                f"{d}! * coefficient of t^{k} is not an integer: {c}"
-            )
     h_star = _h_star(poly, d)
     if any(h < 0 for h in h_star):
         raise InternalConsistencyError(

@@ -37,9 +37,4 @@ class TheoremViolationError(LatticeMiniError, RuntimeError):
 
 
 class PolytopeParseError(LatticeMiniError, ValueError):
-    """Malformed polytope JSON; carries line/column when known."""
-
-    def __init__(self, message: str, lineno: int | None = None, colno: int | None = None):
-        super().__init__(message)
-        self.lineno = lineno
-        self.colno = colno
+    """Malformed polytope JSON; the message gives the line and column when known."""

@@ -105,7 +105,7 @@ def _validated_points(points) -> list[tuple[int, ...]]:
             # bool is an int subclass; reject it explicitly
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ConstructionError(
-                    f"vertex {i}, coordinate index {j}: {x!r} is not an integer"
+                    f"non-integer coordinate at vertex {i}, index {j}: {x!r}"
                 )
     return pts
 

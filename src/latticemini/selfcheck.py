@@ -224,10 +224,10 @@ _SUITES = [
     ("counting.product-law", "[0,1]^d gives (t+1)^d", _product_law),
     ("counting.lift-vs-membership", "closed and interior, t = 1..3",
      _lift_vs_membership),
-    ("ehrhart.shape", "constant 1, lead = vol, d! c_i integral",
+    ("ehrhart.shape", "constant 1, lead = vol, h* >= 0",
      lambda: _on_corpus(ehrhart_polynomial)),
     ("ehrhart.reciprocity", "t <= 4 on the corpus", _reciprocity),
-    ("miniatures.pyramid-identity", "census polynomial shape and totals",
+    ("miniatures.pyramid-identity", "H(n) = L_Pyr(n-1), n <= d+2",
      _pyramid_identity),
     ("miniatures.volume-ratio-limit", "limit = vol / C(2d+1, d)",
      lambda: _on_corpus(mu_limit_symbolic)),

@@ -12,7 +12,9 @@ import pytest
 
 from latticemini import PolytopeParseError, TheoremViolationError
 from latticemini import cli, corpus, counting, miniatures, selfcheck
-from latticemini.cli import decimal_string, main, parse_polytope
+from latticemini.cli import (
+    RunConfig, build_parser, config_from_args, decimal_string, main, parse_polytope,
+)
 from latticemini.geometry import HalfSpace
 
 # the `verify` suites, in the order they print
@@ -64,6 +66,23 @@ class TestParsePolytope:
         with pytest.raises(PolytopeParseError, match=r"vertex 0, index 1: 0.5"):
             parse_polytope('{"vertices": [[0, 0.5]]}')
 
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            ("[]", "a polytope needs at least one vertex"),
+            ("[[]]", "ambient dimension must be at least 1"),
+            ("[[0, 0], [1]]", "vertex 1 has 1 coordinates, expected 2"),
+            ("[[0, true]]", "non-integer coordinate at vertex 0, index 1: True"),
+            ("[[0, 0.5]]", "non-integer coordinate at vertex 0, index 1: 0.5"),
+        ],
+        ids=["empty", "no-coordinates", "ragged", "bool", "float"],
+    )
+    def test_bad_vertices_are_parse_errors(self, vertices, message):
+        # geometry words the fault; the parser reports it as a parse error
+        with pytest.raises(PolytopeParseError) as exc:
+            parse_polytope(f'{{"vertices": {vertices}}}')
+        assert str(exc.value) == message
+
     def test_malformed_json_has_position(self):
         with pytest.raises(PolytopeParseError, match=r"line 1, column"):
             parse_polytope('{"vertices": [[0,')
@@ -76,6 +95,28 @@ class TestParsePolytope:
         first = parse_polytope('{"vertices": [[0,0],[2,0],[0,2],[1,1]]}')
         again = parse_polytope(json.dumps({"vertices": [list(v) for v in first.vertices]}))
         assert again == first
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["count", "--preset", "square", "--t-max", "3"],
+         RunConfig("count", preset="square", t_max=3)),
+        (["ehrhart", "--input", "-", "--format", "json"],
+         RunConfig("ehrhart", input="-", format="json")),
+        (["copies", "--preset", "triangle", "--n", "4", "--format", "csv"],
+         RunConfig("copies", preset="triangle", n=4, format="csv")),
+        (["mu", "--preset", "pentagon", "--n-max", "6"],
+         RunConfig("mu", preset="pentagon", n_max=6)),
+        (["pie", "--input", "X"], RunConfig("pie", input="X")),
+        (["oracle", "--preset", "square", "--n", "2", "--summary"],
+         RunConfig("oracle", preset="square", n=2, summary=True)),
+        (["verify"], RunConfig("verify")),
+    ],
+    ids=["count", "ehrhart", "copies", "mu", "pie", "oracle-summary", "verify"],
+)
+def test_config_from_args(argv, want):
+    assert config_from_args(build_parser().parse_args(argv)) == want
 
 
 class TestDecimalString:
@@ -330,6 +371,15 @@ def test_all_presets_resolve(capsys):
 
 # -- whole outputs, byte for byte --
 
+# the unit square cut along its diagonal
+DIAGONAL_SPLIT = '[{"vertices":[[0,0],[1,0],[1,1]]},{"vertices":[[0,0],[0,1],[1,1]]}]'
+
+
+def json_text(doc):
+    """The JSON reports' layout: two-space indent, one trailing newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
 PENTAGON_ROWS = """\
 n,ratio_num,ratio_den,ratio_decimal
 1,5,1,5.000000000000
@@ -394,9 +444,9 @@ PASS  geometry.pyramid-volume          (d+1) vol(Pyr P) = vol(P)
 PASS  counting.monotonicity            t = 0..8
 PASS  counting.product-law             [0,1]^d gives (t+1)^d
 PASS  counting.lift-vs-membership      closed and interior, t = 1..3
-PASS  ehrhart.shape                    constant 1, lead = vol, d! c_i integral
+PASS  ehrhart.shape                    constant 1, lead = vol, h* >= 0
 PASS  ehrhart.reciprocity              t <= 4 on the corpus
-PASS  miniatures.pyramid-identity      census polynomial shape and totals
+PASS  miniatures.pyramid-identity      H(n) = L_Pyr(n-1), n <= d+2
 PASS  miniatures.volume-ratio-limit    limit = vol / C(2d+1, d)
 PASS  miniatures.numerator-lead        d!d!/(2d+1)! vol^2
 PASS  miniatures.census-monotone       totals strictly increase
@@ -445,6 +495,84 @@ WHOLE_OUTPUTS = [
         id="ehrhart-human",
     ),
     pytest.param(["verify"], VERIFY_OUTPUT, id="verify"),
+    pytest.param(
+        ["count", "--preset", "pentagon", "--t-max", "3", "--format", "json"],
+        json_text({"counts": [
+            {"t": 0, "closed": 1, "interior": 0},
+            {"t": 1, "closed": 10, "interior": 2},
+            {"t": 2, "closed": 29, "interior": 13},
+            {"t": 3, "closed": 58, "interior": 34},
+        ]}),
+        id="count-json",
+    ),
+    pytest.param(
+        ["count", "--preset", "pentagon", "--t-max", "3"],
+        "t,closed,interior\n0,1,0\n1,10,2\n2,29,13\n3,58,34\n",
+        id="count-human",
+    ),
+    pytest.param(
+        ["ehrhart", "--preset", "reeve", "--format", "csv"],
+        "k,coeff\n0,1\n1,5/3\n2,1\n3,1/3\n",
+        id="ehrhart-csv",
+    ),
+    pytest.param(
+        ["ehrhart", "--preset", "reeve", "--format", "json"],
+        json_text({"coeffs": ["1", "5/3", "1", "1/3"]}),
+        id="ehrhart-json",
+    ),
+    pytest.param(
+        ["copies", "--preset", "triangle", "--n", "4", "--format", "csv"],
+        "i,count,weighted\n1,10,10\n2,6,24\n3,3,27\n4,1,16\ntotal,20,\n",
+        id="copies-csv",
+    ),
+    pytest.param(
+        ["copies", "--preset", "triangle", "--n", "4", "--format", "json"],
+        json_text({
+            "n": 4,
+            "per_scale": {"1": 10, "2": 6, "3": 3, "4": 1},
+            "total": 20,
+            "volume_sum": "77/32",
+        }),
+        id="copies-json",
+    ),
+    pytest.param(
+        ["pie", "--input", DIAGONAL_SPLIT, "--format", "csv"], "mu\n1/10\n", id="pie-csv"
+    ),
+    pytest.param(
+        ["pie", "--input", DIAGONAL_SPLIT, "--format", "json"],
+        json_text({"mu": "1/10", "parts": 2}),
+        id="pie-json",
+    ),
+    pytest.param(
+        ["pie", "--input", DIAGONAL_SPLIT],
+        "mu = 1/10 (union volume check: consistent)\n",
+        id="pie-human",
+    ),
+    pytest.param(
+        ["oracle", "--preset", "triangle", "--n", "2", "--format", "csv"],
+        "i,a1,a2\n1,0,0\n1,0,1\n1,1,0\n2,0,0\n",
+        id="oracle-csv",
+    ),
+    pytest.param(
+        ["oracle", "--preset", "triangle", "--n", "2", "--format", "json"],
+        json_text({"witnesses": [
+            {"i": 1, "a": [0, 0]},
+            {"i": 1, "a": [0, 1]},
+            {"i": 1, "a": [1, 0]},
+            {"i": 2, "a": [0, 0]},
+        ]}),
+        id="oracle-json",
+    ),
+    pytest.param(
+        ["oracle", "--preset", "triangle", "--n", "2", "--summary", "--format", "csv"],
+        "i,count\n1,3\n2,1\n",
+        id="oracle-summary-csv",
+    ),
+    pytest.param(
+        ["oracle", "--preset", "triangle", "--n", "2", "--summary", "--format", "json"],
+        json_text({"per_scale": {"1": 3, "2": 1}, "total": 4}),
+        id="oracle-summary-json",
+    ),
 ]
 
 
