@@ -1,5 +1,9 @@
 """Command-line interface: polytope I/O and CSV/JSON/human reports.
 
+Each subcommand returns its exit status and its whole document as text;
+`run` alone writes stdout, and only once the command has returned, so a
+command that raises leaves stdout empty and one `error:` line on stderr.
+
 Exit codes: 0 success, 2 precondition or input problem, 3 violated exact
 identity (formula/oracle mismatch — a test signal, never swallowed), 1 the
 reader of stdout closed the pipe, 130 interrupted by Ctrl-C.
@@ -9,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -26,7 +31,6 @@ from .errors import (
     InternalConsistencyError,
     LatticeMiniError,
     PolytopeParseError,
-    ResourceLimitError,
     TheoremViolationError,
 )
 from .geometry import LatticePolytope, from_vertices
@@ -127,137 +131,122 @@ def _resolve_polytope_list(config: RunConfig) -> list[LatticePolytope]:
     return [_polytope_from_doc(entry) for entry in doc]
 
 
-def _table(out, header, rows) -> int:
-    writer = csv.writer(out, lineterminator="\n")
+def _table(header, rows) -> str:
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return EXIT_OK
+    return text.getvalue()
 
 
-def _write_json(doc, out) -> int:
-    json.dump(doc, out, indent=2)
-    out.write("\n")
-    return EXIT_OK
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def _cmd_count(config: RunConfig, out) -> int:
+def _cmd_count(config: RunConfig) -> tuple[int, str]:
     P = _resolve_polytope(config)
     rows = [
         (t, count_points(P, t), count_points(P, t, interior=True))
         for t in range(config.t_max + 1)
     ]
     if config.format == "json":
-        return _write_json(
-            {"counts": [{"t": t, "closed": c, "interior": i} for t, c, i in rows]}, out
+        return EXIT_OK, _json(
+            {"counts": [{"t": t, "closed": c, "interior": i} for t, c, i in rows]}
         )
-    return _table(out, ["t", "closed", "interior"], rows)
+    return EXIT_OK, _table(["t", "closed", "interior"], rows)
 
 
-def _cmd_ehrhart(config: RunConfig, out) -> int:
+def _cmd_ehrhart(config: RunConfig) -> tuple[int, str]:
     P = _resolve_polytope(config)
     poly = ehrhart_polynomial(P).poly
     if config.format == "json":
-        return _write_json({"coeffs": poly.coeff_strings()}, out)
+        return EXIT_OK, _json({"coeffs": poly.coeff_strings()})
     if config.format == "csv":
-        return _table(out, ["k", "coeff"], enumerate(poly.coeffs))
-    out.write(f"L(t) = {poly.pretty()}\n")
-    out.write(f"coefficients (low to high): {', '.join(poly.coeff_strings())}\n")
-    return EXIT_OK
+        return EXIT_OK, _table(["k", "coeff"], enumerate(poly.coeffs))
+    return EXIT_OK, (
+        f"L(t) = {poly.pretty()}\n"
+        f"coefficients (low to high): {', '.join(poly.coeff_strings())}\n"
+    )
 
 
-def _cmd_copies(config: RunConfig, out) -> int:
+def _cmd_copies(config: RunConfig) -> tuple[int, str]:
     P = _resolve_polytope(config)
     census = copy_census(P, config.n)
     per_scale = sorted(census.per_scale.items())
     if config.format == "json":
-        return _write_json(
-            {
-                "n": census.dilate,
-                "per_scale": {str(i): c for i, c in per_scale},
-                "total": census.total,
-                "volume_sum": str(census.volume_sum),
-            },
-            out,
-        )
+        return EXIT_OK, _json({
+            "n": census.dilate,
+            "per_scale": {str(i): c for i, c in per_scale},
+            "total": census.total,
+            "volume_sum": str(census.volume_sum),
+        })
+    header = ["i", "count", "weighted"]
     rows = [(i, c, i**P.ambient_dim * c) for i, c in per_scale]
     if config.format == "csv":
-        rows.append(("total", census.total, ""))
-    _table(out, ["i", "count", "weighted"], rows)
-    if config.format == "human":
-        out.write(f"total = {census.total}\nvolume_sum = {census.volume_sum}\n")
-    return EXIT_OK
+        return EXIT_OK, _table(header, [*rows, ("total", census.total, "")])
+    footer = f"total = {census.total}\nvolume_sum = {census.volume_sum}\n"
+    return EXIT_OK, _table(header, rows) + footer
 
 
-def _cmd_mu(config: RunConfig, out) -> int:
+def _cmd_mu(config: RunConfig) -> tuple[int, str]:
     P = _resolve_polytope(config)
     report = mu_report(P, config.n_max)
     d = P.ambient_dim
     closed_form = P.volume_d / comb(2 * d + 1, d)
     if config.format == "json":
-        return _write_json(
-            {
-                "ratios": [
-                    {"n": n, "num": str(r.numerator), "den": str(r.denominator),
-                     "decimal": decimal_string(r)}
-                    for n, r in report.ratios
-                ],
-                "limit": str(report.symbolic_limit),
-                "closed_form": str(closed_form),
-                "bound_constant": str(report.bound_constant),
-            },
-            out,
-        )
-    _table(
-        out,
-        ["n", "ratio_num", "ratio_den", "ratio_decimal"],
-        [(n, r.numerator, r.denominator, decimal_string(r)) for n, r in report.ratios],
-    )
-    prefix = "# " if config.format == "csv" else ""
-    out.write(f"{prefix}limit = {report.symbolic_limit}\n")
-    out.write(f"{prefix}closed_form = {closed_form}\n")
-    out.write(f"{prefix}bound_constant = {report.bound_constant}\n")
-    return EXIT_OK
+        return EXIT_OK, _json({
+            "ratios": [
+                {"n": n, "num": str(r.numerator), "den": str(r.denominator),
+                 "decimal": decimal_string(r)}
+                for n, r in report.ratios
+            ],
+            "limit": str(report.symbolic_limit),
+            "closed_form": str(closed_form),
+            "bound_constant": str(report.bound_constant),
+        })
+    rows = [(n, r.numerator, r.denominator, decimal_string(r)) for n, r in report.ratios]
+    p = "# " if config.format == "csv" else ""
+    footer = (f"{p}limit = {report.symbolic_limit}\n{p}closed_form = {closed_form}\n"
+              f"{p}bound_constant = {report.bound_constant}\n")
+    return EXIT_OK, _table(["n", "ratio_num", "ratio_den", "ratio_decimal"], rows) + footer
 
 
-def _cmd_pie(config: RunConfig, out) -> int:
+def _cmd_pie(config: RunConfig) -> tuple[int, str]:
     parts = _resolve_polytope_list(config)
     value = mu_inclusion_exclusion(parts)
     if config.format == "json":
-        return _write_json({"mu": str(value), "parts": len(parts)}, out)
+        return EXIT_OK, _json({"mu": str(value), "parts": len(parts)})
     if config.format == "csv":
-        return _table(out, ["mu"], [[value]])
-    out.write(f"mu = {value} (union volume check: consistent)\n")
-    return EXIT_OK
+        return EXIT_OK, _table(["mu"], [[value]])
+    return EXIT_OK, f"mu = {value} (union volume check: consistent)\n"
 
 
-def _cmd_oracle(config: RunConfig, out) -> int:
+def _cmd_oracle(config: RunConfig) -> tuple[int, str]:
     P = _resolve_polytope(config)
     witnesses = enumerate_copies(P, config.n)
     if config.summary:
         per_scale = sorted(Counter(w.scale for w in witnesses).items())
         if config.format == "json":
-            return _write_json(
-                {"per_scale": {str(i): c for i, c in per_scale}, "total": len(witnesses)},
-                out,
+            return EXIT_OK, _json(
+                {"per_scale": {str(i): c for i, c in per_scale}, "total": len(witnesses)}
             )
-        return _table(out, ["i", "count"], per_scale)
+        return EXIT_OK, _table(["i", "count"], per_scale)
     if config.format == "json":
-        return _write_json(
-            {"witnesses": [{"i": w.scale, "a": list(w.shift)} for w in witnesses]}, out
+        return EXIT_OK, _json(
+            {"witnesses": [{"i": w.scale, "a": list(w.shift)} for w in witnesses]}
         )
     header = ["i"] + [f"a{j + 1}" for j in range(P.ambient_dim)]
-    return _table(out, header, [(w.scale, *w.shift) for w in witnesses])
+    return EXIT_OK, _table(header, [(w.scale, *w.shift) for w in witnesses])
 
 
-def _cmd_verify(config: RunConfig, out) -> int:
+def _cmd_verify(config: RunConfig) -> tuple[int, str]:
     results = run_all()
     width = max(len(r.name) for r in results)
-    for r in results:
-        tag = "PASS" if r.passed else "FAIL"
-        out.write(f"{tag}  {r.name:<{width}}  {r.detail}\n")
-    failed = [r for r in results if not r.passed]
-    out.write(f"{len(results) - len(failed)}/{len(results)} suites passed\n")
-    return EXIT_OK if not failed else EXIT_THEOREM
+    lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}\n"
+             for r in results]
+    passed = sum(r.passed for r in results)
+    lines.append(f"{passed}/{len(results)} suites passed\n")
+    return EXIT_OK if passed == len(results) else EXIT_THEOREM, "".join(lines)
 
 
 _COMMANDS = {
@@ -272,16 +261,17 @@ _COMMANDS = {
 
 
 def run(config: RunConfig, out=None) -> int:
-    """Dispatch one subcommand; returns the process exit status."""
-    out = out if out is not None else sys.stdout
+    """Run one subcommand, then write its document to out; returns the exit status."""
     try:
-        return _COMMANDS[config.subcommand](config, out)
+        status, document = _COMMANDS[config.subcommand](config)
     except (TheoremViolationError, InternalConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_THEOREM
     except (LatticeMiniError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    (out if out is not None else sys.stdout).write(document)
+    return status
 
 
 def _positive_int(text: str) -> int:
@@ -332,8 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--summary", action="store_true", help="per-scale counts only")
 
-    p = sub.add_parser("verify", help="run the exact invariant suites")
-    p.add_argument("--format", choices=["human"], default="human")
+    sub.add_parser("verify", help="run the exact invariant suites")
 
     return parser
 

@@ -4,7 +4,8 @@ Each suite re-runs one family of exact identities over the built-in corpus.
 `_SUITES` holds one (name, pass detail, check) row per suite. A check
 returns None when every case holds, or a label naming the first case that
 fails, and `run_all` reports that label under the row's name; a check that
-raises a violated identity is reported there with its message. An identity
+raises any error the CLI would report (a `LatticeMiniError` or
+`ValueError`) is reported there with its message. An identity
 that a route already checks as it computes (the shape of the Ehrhart
 polynomial, the leads of H and N, the oracle's power-product sums) is not
 restated here: its row runs that route over its cases, and the route's raise
@@ -22,7 +23,7 @@ from itertools import product
 from . import corpus
 from .counting import count_points
 from .ehrhart import check_reciprocity, ehrhart_polynomial
-from .errors import InternalConsistencyError, TheoremViolationError
+from .errors import LatticeMiniError
 from .geometry import (
     bounding_box,
     contains,
@@ -247,7 +248,7 @@ def run_all() -> list[SuiteResult]:
     for name, detail, check in _SUITES:
         try:
             failure = check()
-        except (TheoremViolationError, InternalConsistencyError) as exc:
+        except (LatticeMiniError, ValueError) as exc:
             failure = str(exc)
         results.append(SuiteResult(name, failure is None, failure or detail))
     return results

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from latticemini import PolytopeParseError, TheoremViolationError
+from latticemini import PolytopeParseError, TheoremViolationError, UnsupportedInputError
 from latticemini import cli, corpus, counting, miniatures, selfcheck
 from latticemini.cli import (
     RunConfig, build_parser, config_from_args, decimal_string, main, parse_polytope,
@@ -74,11 +74,13 @@ class TestParsePolytope:
             ("[[0, 0], [1]]", "vertex 1 has 1 coordinates, expected 2"),
             ("[[0, true]]", "non-integer coordinate at vertex 0, index 1: True"),
             ("[[0, 0.5]]", "non-integer coordinate at vertex 0, index 1: 0.5"),
+            ("[1, 2]", '"vertices" must be a list of coordinate lists'),
         ],
-        ids=["empty", "no-coordinates", "ragged", "bool", "float"],
+        ids=["empty", "no-coordinates", "ragged", "bool", "float", "flat"],
     )
     def test_bad_vertices_are_parse_errors(self, vertices, message):
-        # geometry words the fault; the parser reports it as a parse error
+        # the parser words a fault in the document's shape, geometry one in its
+        # coordinates; both are parse errors
         with pytest.raises(PolytopeParseError) as exc:
             parse_polytope(f'{{"vertices": {vertices}}}')
         assert str(exc.value) == message
@@ -344,6 +346,30 @@ class TestExitCodes:
         assert out == ""
         assert "census moment M_0" in err
 
+    def test_pie_needs_a_list(self, capsys):
+        code, out, err = run_cli(capsys, "pie", "--input", '{"vertices": [[0]]}')
+        assert (code, out, err) == (2, "", "error: expected a JSON list of polytope objects\n")
+
+    def test_pie_without_input(self, capsys):
+        # the parser requires --input for pie; `run` is also called directly
+        code = cli.run(RunConfig("pie"))
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (
+            2, "", "error: this subcommand needs --input with a JSON list\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_run_leaves_stdout_empty(self, capsys, fmt):
+        # L(1) has 4,400 digits, past Python's limit for str(int): the t = 0 row
+        # is ready before the run fails, and none of it may reach stdout
+        b = 10**2200
+        doc = json.dumps({"vertices": [[0, 0], [b, 0], [0, b]]})
+        code, out, err = run_cli(
+            capsys, "count", "--input", doc, "--t-max", "1", "--format", fmt
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--preset", "square", "--t-max", "2", "--frobnicate"])
@@ -367,6 +393,14 @@ def test_all_presets_resolve(capsys):
         )
         assert code == 0
         assert json.loads(out)["coeffs"][0] == "1"
+
+
+def test_unknown_preset_named():
+    with pytest.raises(ValueError) as exc:
+        corpus.preset("nope")
+    assert str(exc.value) == (
+        "unknown preset 'nope'; available: cube3, pentagon, reeve, square, triangle"
+    )
 
 
 # -- whole outputs, byte for byte --
@@ -666,11 +700,41 @@ def _bumped_scale_one(real):
     return census
 
 
-def _raising(real):
-    def check(*args):
-        raise TheoremViolationError("planted lead mismatch")
+def _raising(error):
+    def corrupt(real):
+        def check(*args):
+            raise error
 
-    return check
+        return check
+
+    return corrupt
+
+
+def _rehull_drops_a_vertex(real):
+    # only hull-idempotence re-hulls a 4-D polytope's vertices; the corpus
+    # stops at d = 3
+    def hull(points):
+        if isinstance(points, tuple) and len(points[0]) == 4:
+            points = points[1:]
+        return real(points)
+
+    return hull
+
+
+def _census_total_zero_at(n_bad):
+    def census(real):
+        return lambda P, n: replace(real(P, n), total=0) if n == n_bad else real(P, n)
+
+    return census
+
+
+def _first_witness_rescaled(real):
+    # the same number of witnesses, one of them moved from scale 1 to scale 2
+    def copies(P, n):
+        first, *rest = real(P, n)
+        return [replace(first, scale=first.scale + 1), *rest]
+
+    return copies
 
 
 def _bumped_offsets(real, bumped):
@@ -690,6 +754,18 @@ def _reeve_for_square(real):
     # Reeve(2) has the square pyramid's volume 1/3, degree 3 and no interior
     # point, so only H(n) = L_Pyr(n - 1) tells it from the square's pyramid
     return lambda P: corpus.reeve(2) if P == corpus.square() else real(P)
+
+
+def _verify_failures(capsys, monkeypatch, call, corrupt):
+    """The FAIL lines of `verify`, as [name, detail], with one library call
+    corrupted as `verify` sees it; the library itself is intact."""
+    monkeypatch.setattr(selfcheck, call, corrupt(getattr(selfcheck, call)))
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 3
+    failed = [line.split(None, 2)[1:] for line in out.splitlines() if line.startswith("FAIL")]
+    assert all(name in SUITE_NAMES for name, _ in failed)
+    assert out.endswith(f"{17 - len(failed)}/17 suites passed\n")
+    return failed
 
 
 @pytest.mark.parametrize(
@@ -723,9 +799,44 @@ def _reeve_for_square(real):
             id="inclusion-exclusion",
         ),
         pytest.param(
-            "sum_prod_poly", _raising,
+            "sum_prod_poly", _raising(TheoremViolationError("planted lead mismatch")),
             "oracle.sum-product", "planted lead mismatch",
             id="raising-check",
+        ),
+        pytest.param(
+            # a precondition error, not a violated identity, is a FAIL line too
+            "mu_inclusion_exclusion",
+            _raising(UnsupportedInputError("planted non-lattice intersection")),
+            "miniatures.inclusion-exclusion", "planted non-lattice intersection",
+            id="raising-precondition",
+        ),
+        pytest.param(
+            "from_vertices", _rehull_drops_a_vertex,
+            "geometry.hull-idempotence", f"failed on {selfcheck._HULL_POINT_SETS[4]}",
+            id="rehull-drops-a-vertex",
+        ),
+        pytest.param(
+            "volume", lambda real: lambda P: 2 * real(P),
+            "geometry.pyramid-volume", "segment1",
+            id="pyramid-volume-doubled",
+        ),
+        pytest.param(
+            "check_reciprocity",
+            lambda real: lambda P, t_max: real(P, t_max) and P != corpus.pentagon(),
+            "ehrhart.reciprocity", "pentagon",
+            id="reciprocity-denied",
+        ),
+        pytest.param(
+            # censuses n = 1..7 on the 2-D corpus; the other census suites take
+            # n = 3, 4 and 2d+5
+            "copy_census", _census_total_zero_at(6),
+            "miniatures.census-monotone", "segment1",
+            id="census-total",
+        ),
+        pytest.param(
+            "enumerate_copies", _first_witness_rescaled,
+            "oracle.census-equivalence", "segment1, scale 1",
+            id="oracle-scales",
         ),
         pytest.param(
             "dilate", lambda real: _bumped_offsets(real, lambda k: k == 5),
@@ -747,15 +858,29 @@ def _reeve_for_square(real):
     ],
 )
 def test_verify_names_the_failing_suite(capsys, monkeypatch, call, corrupt, name, detail):
-    # corrupt one library call as `verify` sees it; the library itself is intact
-    monkeypatch.setattr(selfcheck, call, corrupt(getattr(selfcheck, call)))
-    code, out, _ = run_cli(capsys, "verify")
-    assert code == 3
-    failed = [line.split(None, 2) for line in out.splitlines() if line.startswith("FAIL")]
-    assert len(failed) == 1
-    assert failed[0][1] in SUITE_NAMES
-    assert failed[0][1:] == [name, detail]
-    assert out.endswith("16/17 suites passed\n")
+    assert _verify_failures(capsys, monkeypatch, call, corrupt) == [[name, detail]]
+
+
+@pytest.mark.parametrize(
+    "corrupt, name, detail",
+    [
+        pytest.param(
+            lambda real: lambda P, t, interior=False: 0 if t == 8 else real(P, t, interior),
+            "counting.monotonicity", "segment1",
+            id="count-drops-at-8",
+        ),
+        pytest.param(
+            lambda real: lambda P, t, interior=False: real(P, t, interior) + (t == 5),
+            "counting.product-law", "d=1, t=5",
+            id="count-bumped-at-5",
+        ),
+    ],
+)
+def test_verify_names_a_count_fault(capsys, monkeypatch, corrupt, name, detail):
+    # census-vs-counts recounts every t <= 8 on the 2-D corpus and every t <= 10
+    # on the boxes, so these count faults fail it too
+    failed = _verify_failures(capsys, monkeypatch, "count_points", corrupt)
+    assert [name, detail] in failed
 
 
 def test_verify_corpus_is_full_dimensional():

@@ -97,6 +97,15 @@ class TestReciprocity:
         for name, P in full_dim_corpus:
             assert check_reciprocity(P, 3), name
 
+    def test_off_by_one_interior_count_detected(self, monkeypatch):
+        # the fit reads closed counts only, so only reciprocity sees the fault
+        real = ehrhart_module.count_points
+        monkeypatch.setattr(
+            ehrhart_module, "count_points",
+            lambda P, t, interior=False: real(P, t, interior) + interior,
+        )
+        assert not check_reciprocity(corpus.square(), 4)
+
     def test_t_max_validated(self):
         with pytest.raises(ValueError):
             check_reciprocity(corpus.square(), 0)

@@ -72,6 +72,11 @@ class TestCopyCensus:
             assert census.total == 1, name
             assert census.volume_sum == P.volume_d, name
 
+    def test_resolution_zero_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            copy_census(corpus.square(), 0)
+        assert str(exc.value) == "census resolution must be a positive integer, got 0"
+
     def test_totals_strictly_increase(self, full_dim_corpus):
         for name, P in full_dim_corpus:
             n_max = 5 if P.ambient_dim == 3 else 8
