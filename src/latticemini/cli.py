@@ -84,6 +84,11 @@ def _load_json(text: str):
         raise PolytopeParseError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError:  # json.loads raises no other: an integer past the digit limit
+        raise PolytopeParseError(
+            f"an integer in the input has more than {sys.get_int_max_str_digits()} "
+            "digits, the interpreter's limit"
+        ) from None
 
 
 def _polytope_from_doc(doc) -> LatticePolytope:

@@ -2,21 +2,18 @@
 
 For a full-dimensional lattice polytope the lattice-point enumerator is a
 degree-d polynomial with constant term 1, leading coefficient equal to the
-volume, and d! times every coefficient integral. Interpolation uses the
-smallest valid support (t = 0..d), by Newton's forward differences;
-`polynomial._fitted` re-verifies it against fresh counts at two extra nodes,
-so a silent counting or interpolation bug cannot survive, and checks its
-degree and lead. `_check_shape` checks the constant term and that the
-h*-vector is nonnegative (Stanley 1980). The rest needs no check of its own:
-a fit through integer counts at t = 0..d is sum_k (Delta^k L)(0) C(t, k)
-with integer differences, so d! c_i is integral, and the h*-vector of any
+volume, and d! times every coefficient integral. `polynomial._fitted`
+interpolates once through the counts at t = 0..d+2, by Newton's forward
+differences, and checks the degree and lead; `_check_shape` reads L(0) = 1
+and a nonnegative h*-vector (Stanley 1980) off the counts at t = 0..d. The
+rest needs no check of its own: a fit through integer counts at t = 0..d
+has integer differences, so d! c_i is integral, and the h*-vector of any
 degree-d polynomial with lead vol sums to d! vol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .counting import count_points
@@ -35,33 +32,30 @@ class EhrhartPolynomial:
 def ehrhart_polynomial(P: LatticePolytope) -> EhrhartPolynomial:
     """Exact degree-d Ehrhart polynomial of a full-dimensional lattice polytope."""
     _require_full_dimensional(P, "the Ehrhart polynomial")
-    poly = _fitted(
-        lambda t: count_points(P, t), P.ambient_dim, P.volume_d, "interpolated enumerator"
-    )
-    _check_shape(poly, P)
+    d = P.ambient_dim
+    counts = [count_points(P, t) for t in range(d + 3)]
+    poly = _fitted(counts, d, P.volume_d, "interpolated enumerator")
+    _check_shape(counts[: d + 1])
     return EhrhartPolynomial(poly)
 
 
-def _check_shape(poly: RationalPolynomial, P: LatticePolytope) -> None:
-    d = P.ambient_dim
-    if poly.constant_term != 1:
-        raise InternalConsistencyError(
-            f"enumerator constant term {poly.constant_term} != 1"
-        )
-    h_star = _h_star(poly, d)
+def _check_shape(values: list[int]) -> None:
+    if values[0] != 1:
+        raise InternalConsistencyError(f"enumerator constant term {values[0]} != 1")
+    h_star = _h_star(values)
     if any(h < 0 for h in h_star):
         raise InternalConsistencyError(
-            f"h*-vector {[str(h) for h in h_star]} has a negative entry (Stanley 1980)"
+            f"h*-vector {h_star} has a negative entry (Stanley 1980)"
         )
 
 
-def _h_star(poly: RationalPolynomial, d: int) -> list[Fraction]:
-    """h*_k = sum_{j <= k} (-1)^j C(d+1, j) L(k - j) for k = 0..d.
+def _h_star(values: list[int]) -> list[int]:
+    """h*_k = sum_{j <= k} (-1)^j C(d+1, j) L(k - j) for k = 0..d = len(values)-1.
 
     These are the coefficients of the numerator of the Ehrhart series
     sum_t L(t) z^t = h*(z) / (1 - z)^(d+1).
     """
-    values = [poly.evaluate(t) for t in range(d + 1)]
+    d = len(values) - 1
     return [
         sum((-1) ** j * comb(d + 1, j) * values[k - j] for j in range(k + 1))
         for k in range(d + 1)

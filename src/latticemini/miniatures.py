@@ -86,26 +86,21 @@ def copy_census(P: LatticePolytope, n: int) -> CopyCensus:
 def _moment(P: LatticePolytope, values: list[int], m: int) -> RationalPolynomial:
     """M_m(n) = sum_{i=1..n} i^m L(n-i), the m-th scale moment of the census.
 
-    Fitted through sums of values[t] = L_P(t) for t <= m+d+2, verified at
-    two fresh resolutions, and checked against its degree m+d+1 and lead
-    vol(P) m! d! / (m+d+1)!. Its constant term is the empty sum M_m(0) = 0,
-    which the fit reproduces exactly.
+    Fitted once through its sums at n = 0..m+d+3, from values[t] = L_P(t),
+    and checked against its degree m+d+1 and lead vol(P) m! d! / (m+d+1)!.
+    Its constant term is the empty sum M_m(0) = 0, which the fit reproduces.
     """
     d = P.ambient_dim
-
-    def sample(n: int) -> int:
-        return sum(i**m * values[n - i] for i in range(1, n + 1))
-
+    sums = [sum(i**m * values[n - i] for i in range(1, n + 1)) for n in range(m + d + 4)]
     lead = P.volume_d * Fraction(factorial(m) * factorial(d), factorial(m + d + 1))
-    return _fitted(sample, m + d + 1, lead, f"census moment M_{m}")
+    return _fitted(sums, m + d + 1, lead, f"census moment M_{m}")
 
 
 def _census_and_numerator(P: LatticePolytope):
     """(H, N, limit) for a full-dimensional P: H = M_0 is the census total,
-    N = vol(P) M_d the numerator, and the limit is N.lead/H.lead.
-
-    The fits of M_0 and M_d check both leads against their closed forms, so
-    the limit is vol/C(2d+1, d) by algebra once they return.
+    N = vol(P) M_d the numerator, and the limit is N.lead/H.lead, which is
+    vol/C(2d+1, d) by algebra once the fits of M_0 and M_d have checked both
+    leads against their closed forms.
 
     L_P(t) for t = 0..2d+2 is read once off the verified Ehrhart polynomial,
     whose d+3 counts are the only counts behind H, N and the limit.
@@ -124,12 +119,11 @@ def copy_polynomial(P: LatticePolytope) -> RationalPolynomial:
     """The polynomial H_P with H_P(n) = census total at resolution n.
 
     H_P is the census moment M_0, fitted through the census totals
-    sum_{t<n} L_P(t) and verified against fresh ones, on the one route that
-    also gives N and the limit; it costs the d+3 counts of the Ehrhart
-    polynomial of P. Its
-    constant term vanishes and its leading coefficient is vol(P)/(d+1). It
-    equals the Ehrhart polynomial of the pyramid over P evaluated at n - 1,
-    which `verify` checks.
+    sum_{t<n} L_P(t) on the one route that also gives N and the limit; it
+    costs the d+3 counts of the Ehrhart polynomial of P. Its constant term
+    vanishes and its leading coefficient is vol(P)/(d+1). It equals the
+    Ehrhart polynomial of the pyramid over P evaluated at n - 1, which
+    `verify` checks.
     """
     _require_full_dimensional(P, "the copy polynomial")
     return _census_and_numerator(P)[0]

@@ -89,16 +89,14 @@ def average_miniature_volume(P: LatticePolytope, n: int) -> Fraction:
 def sum_prod_poly(p: int, q: int) -> RationalPolynomial:
     """The exact polynomial in n equal to sum_{i=1}^{n} i^p (n-i)^q.
 
-    Fitted through explicit sums at n = 0..p+q+1 and checked against two
-    fresh ones; degree p+q+1 with leading coefficient p! q! / (p+q+1)!.
+    Fitted once through explicit sums at n = 0..p+q+3; degree p+q+1 with
+    leading coefficient p! q! / (p+q+1)!.
     """
     if p < 1 or q < 1:
         raise ValueError(f"exponents must be positive integers, got p={p}, q={q}")
     if p + q > 10:
         raise ValueError(f"p + q is capped at 10, got {p + q}")
 
-    def sample(n: int) -> int:
-        return sum(i**p * (n - i) ** q for i in range(1, n + 1))
-
+    sums = [sum(i**p * (n - i) ** q for i in range(1, n + 1)) for n in range(p + q + 4)]
     lead = Fraction(factorial(p) * factorial(q), factorial(p + q + 1))
-    return _fitted(sample, p + q + 1, lead, "power-product sum")
+    return _fitted(sums, p + q + 1, lead, "power-product sum")

@@ -3,9 +3,9 @@
 Coefficients are stored lowest degree first and kept canonical (no trailing
 zeros), so equality is coefficient-wise equality and degree is implicit.
 `_fitted` is the one fit-and-check, for L, the census moments behind H and
-N, and the oracle's power-product sums: it verifies each fit at two fresh
-samples, then checks its degree and leading coefficient against the closed
-form the theorem gives.
+N, and the oracle's power-product sums: one interpolation through degree+3
+samples, where a higher degree is an internal error, then a check of degree
+and lead against the closed form the theorem gives.
 """
 
 from __future__ import annotations
@@ -118,21 +118,20 @@ class RationalPolynomial:
         return self.pretty()
 
 
-def _fitted(sample, degree: int, lead: Fraction, what: str) -> RationalPolynomial:
-    """The polynomial through sample(0..degree), of the given degree and lead.
+def _fitted(samples, degree: int, lead: Fraction, what: str) -> RationalPolynomial:
+    """The polynomial through samples[0..degree+2], of the given degree and lead.
 
-    The fit is checked against sample at degree+1 and degree+2; a mismatch
+    The fit through the first degree+1 samples matches the last two iff the
+    interpolant through all of them has degree <= `degree`; a higher degree
     raises InternalConsistencyError. A fit of another degree or leading
     coefficient than the closed form `lead` raises TheoremViolationError.
     """
-    poly = RationalPolynomial.interpolate([sample(k) for k in range(degree + 1)])
-    for k in (degree + 1, degree + 2):
-        expected = sample(k)
-        if poly.evaluate(k) != expected:
-            raise InternalConsistencyError(
-                f"{what} disagrees with a fresh sample at {k}: "
-                f"{poly.evaluate(k)} != {expected}"
-            )
+    poly = RationalPolynomial.interpolate(samples)
+    if poly.degree > degree:
+        raise InternalConsistencyError(
+            f"{what} through samples 0..{degree} misses the next two: the fit "
+            f"through all {len(samples)} has degree {poly.degree}, not {degree}"
+        )
     if poly.degree != degree or poly.leading_coefficient != lead:
         raise TheoremViolationError(
             f"{what} has degree {poly.degree} and leading coefficient "

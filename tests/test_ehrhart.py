@@ -124,16 +124,28 @@ def test_counting_bug_detected(monkeypatch):
         ehrhart_polynomial(corpus.square())
 
 
+def test_constant_term_checked(monkeypatch):
+    # one extra point at every t keeps degree d and lead vol, so the fit
+    # passes and only the constant term L(0) = 2 is wrong
+    real = ehrhart_module.count_points
+    monkeypatch.setattr(
+        ehrhart_module, "count_points",
+        lambda P, t, interior=False: real(P, t, interior) + 1,
+    )
+    with pytest.raises(InternalConsistencyError, match="constant term 2 != 1"):
+        ehrhart_polynomial(corpus.square())
+
+
 def test_negative_h_star_rejected():
-    # degree, constant term, lead = vol and 2! c_i integrality all hold for the
-    # triangle, but h* = (1, -1, 1) is not the h*-vector of any lattice polygon
-    poly = RationalPolynomial.from_coeffs([1, Fraction(1, 2), Fraction(1, 2)])
+    # L = 1 + t/2 + t^2/2 takes 1, 2, 4 at t = 0, 1, 2: its degree, constant
+    # term, lead = vol and 2! c_i integrality all hold for the triangle, but
+    # h* = (1, -1, 1) is not the h*-vector of any lattice polygon
     with pytest.raises(InternalConsistencyError, match="h\\*"):
-        ehrhart_module._check_shape(poly, corpus.triangle())
+        ehrhart_module._check_shape([1, 2, 4])
 
 
 def test_reeve_h_star():
     # the Reeve tetrahedron T_r has h*(z) = 1 + (r - 1) z^2
     for r in (1, 2, 5):
-        poly = ehrhart_polynomial(corpus.reeve(r)).poly
-        assert ehrhart_module._h_star(poly, 3) == [1, 0, r - 1, 0], r
+        values = [count_points(corpus.reeve(r), t) for t in range(4)]
+        assert ehrhart_module._h_star(values) == [1, 0, r - 1, 0], r

@@ -28,6 +28,11 @@ class TestFromVertices:
         assert P.vertices == ((0, 0), (0, 1), (1, 0))
         assert P.volume_d == Fraction(1, 2)
 
+    def test_repr_is_short(self):
+        assert repr(corpus.triangle()) == (
+            "LatticePolytope(ambient_dim=2, dim=2, vertices=3, volume=1/2)"
+        )
+
     def test_non_extreme_point_discarded(self):
         P = from_vertices([(0, 0), (2, 0), (0, 2), (1, 1)])
         assert len(P.vertices) == 3

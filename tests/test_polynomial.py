@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +93,14 @@ def test_pretty_rendering():
     assert RationalPolynomial(()).pretty() == "0"
 
 
+def test_readme_quick_start(capsys):
+    # the README's library example runs as written and prints what it says
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library quick start")[1].split("```python\n")[1]
+    exec(block.split("```")[0], {})
+    assert capsys.readouterr().out == "1/2 t^2 + 3/2 t + 1\n20\n1/20\n"
+
+
 # -- the fit-and-check: fresh samples first, then degree and lead --
 
 
@@ -108,4 +117,4 @@ def test_pretty_rendering():
 )
 def test_fitted_failure_names_what(sample, lead, error):
     with pytest.raises(error, match="triangular"):
-        _fitted(sample, 2, lead, "triangular")
+        _fitted([sample(n) for n in range(5)], 2, lead, "triangular")
