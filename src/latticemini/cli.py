@@ -61,8 +61,8 @@ class RunConfig:
 
 def decimal_string(value: Fraction) -> str:
     """Exact fixed-point rendering, rounded half up to 12 decimal digits."""
-    sign = "-" if value < 0 else ""
-    num, den = abs(value).numerator, abs(value).denominator
+    sign = "-" if value.numerator < 0 else ""
+    num, den = abs(value.numerator), value.denominator
     scaled, rem = divmod(num * 10**12, den)
     if 2 * rem >= den:
         scaled += 1
@@ -273,7 +273,15 @@ def run(config: RunConfig, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_THEOREM
     except (LatticeMiniError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if "set_int_max_str_digits" in message:
+            # str(int) past the limit, in the answer: the interpreter's advice
+            # names a setting that a user of the CLI cannot reach
+            message = (
+                f"an integer in the answer has more than {sys.get_int_max_str_digits()} "
+                "digits, the interpreter's limit"
+            )
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_PRECONDITION
     (out if out is not None else sys.stdout).write(document)
     return status

@@ -24,9 +24,11 @@ from .polynomial import RationalPolynomial, _fitted
 
 @dataclass(frozen=True)
 class EhrhartPolynomial:
-    """Interpolated enumerator polynomial."""
+    """Interpolated enumerator polynomial and the counts L(0..d+2) it was fitted
+    through, from which `polynomial._tabulated` reads L at any run of t >= 0."""
 
     poly: RationalPolynomial
+    counts: tuple[int, ...]
 
 
 def ehrhart_polynomial(P: LatticePolytope) -> EhrhartPolynomial:
@@ -36,7 +38,7 @@ def ehrhart_polynomial(P: LatticePolytope) -> EhrhartPolynomial:
     counts = [count_points(P, t) for t in range(d + 3)]
     poly = _fitted(counts, d, P.volume_d, "interpolated enumerator")
     _check_shape(counts[: d + 1])
-    return EhrhartPolynomial(poly)
+    return EhrhartPolynomial(poly, tuple(counts))
 
 
 def _check_shape(values: list[int]) -> None:

@@ -9,9 +9,11 @@ The census total is H = M_0, the numerator N(n) = n^d * (total miniature
 volume) is vol(P) M_d, and the mean miniature volume N(n) / (n^d H(n))
 converges to vol(P) / C(2d+1, d). The fit of each moment checks its lead
 against the closed form, vol(P)/(d+1) for H and vol(P)^2 d!^2/(2d+1)! for N,
-and the limit is their ratio. Every L_P(t) is read off the verified
-Ehrhart polynomial of P, so censuses and ratio sequences cost O(n)
-polynomial evaluations and d+3 lattice-point counts. The pyramid route,
+and the limit is their ratio. Censuses and ratio sequences cost d+3
+lattice-point counts of P, and then deg integer additions per value: L_P,
+M_0 and M_d are tabulated at consecutive integers from the very samples
+their fits checked (`polynomial._tabulated`), and each ratio becomes one
+Fraction. The pyramid route,
 H(n) = L_Pyr(n - 1), is the `verify` cross-check miniatures.pyramid-identity.
 Intersections come from `geometry`. Everything here is exact: the limit is
 extracted from interpolated leading coefficients, not floats.
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from typing import NamedTuple
 
 from .errors import ResourceLimitError, UnsupportedInputError
 from .geometry import (
@@ -32,7 +35,7 @@ from .geometry import (
     from_vertices,
 )
 from .ehrhart import ehrhart_polynomial
-from .polynomial import RationalPolynomial, _fitted
+from .polynomial import RationalPolynomial, _fitted, _tabulated
 
 MAX_UNION_PARTS = 10
 
@@ -67,52 +70,63 @@ class MuReport:
 def copy_census(P: LatticePolytope, n: int) -> CopyCensus:
     """Census of all horizontal lattice copies of P in nP, keyed by scale.
 
-    per_scale[i] = L_P(n - i) is read off the verified Ehrhart polynomial, so
-    a census of any resolution costs d+3 lattice-point counts.
+    per_scale[i] = L_P(n - i) is tabulated from the d+3 counts the Ehrhart
+    polynomial was fitted and checked through, so a census of any resolution
+    costs d+3 lattice-point counts and d integer additions per scale.
     """
     _require_full_dimensional(P, "the copy census")
     if n < 1:
         raise ValueError(f"census resolution must be a positive integer, got {n}")
     d = P.ambient_dim
-    L = ehrhart_polynomial(P).poly
-    # L takes integers at t = 0..d, so it is integer-valued at every t
-    per_scale = {i: int(L.evaluate(n - i)) for i in range(1, n + 1)}
+    L = _tabulated(ehrhart_polynomial(P).counts, n)
+    per_scale = {i: L[n - i] for i in range(1, n + 1)}
     total = sum(per_scale.values())
     weighted = sum(i**d * c for i, c in per_scale.items())
     volume_sum = P.volume_d * Fraction(weighted, n**d)
     return CopyCensus(dilate=n, per_scale=per_scale, total=total, volume_sum=volume_sum)
 
 
-def _moment(P: LatticePolytope, values: list[int], m: int) -> RationalPolynomial:
+def _moment(
+    P: LatticePolytope, values: list[int], m: int
+) -> tuple[list[int], RationalPolynomial]:
     """M_m(n) = sum_{i=1..n} i^m L(n-i), the m-th scale moment of the census.
 
-    Fitted once through its sums at n = 0..m+d+3, from values[t] = L_P(t),
-    and checked against its degree m+d+1 and lead vol(P) m! d! / (m+d+1)!.
-    Its constant term is the empty sum M_m(0) = 0, which the fit reproduces.
+    Its sums at n = 0..m+d+3, from values[t] = L_P(t), are returned with the
+    fit through them, checked against its degree m+d+1 and lead
+    vol(P) m! d! / (m+d+1)!. Its constant term is the empty sum M_m(0) = 0,
+    which the fit reproduces.
     """
     d = P.ambient_dim
     sums = [sum(i**m * values[n - i] for i in range(1, n + 1)) for n in range(m + d + 4)]
     lead = P.volume_d * Fraction(factorial(m) * factorial(d), factorial(m + d + 1))
-    return _fitted(sums, m + d + 1, lead, f"census moment M_{m}")
+    return sums, _fitted(sums, m + d + 1, lead, f"census moment M_{m}")
 
 
-def _census_and_numerator(P: LatticePolytope):
-    """(H, N, limit) for a full-dimensional P: H = M_0 is the census total,
-    N = vol(P) M_d the numerator, and the limit is N.lead/H.lead, which is
-    vol/C(2d+1, d) by algebra once the fits of M_0 and M_d have checked both
-    leads against their closed forms.
+class _Census(NamedTuple):
+    """H = M_0 and N = vol(P) M_d, their limit, and the checked sums of M_0
+    and M_d at n = 0, 1, ..., from which `_tabulated` reads them at any n."""
 
-    L_P(t) for t = 0..2d+2 is read once off the verified Ehrhart polynomial,
-    whose d+3 counts are the only counts behind H, N and the limit.
+    H: RationalPolynomial
+    N: RationalPolynomial
+    limit: Fraction
+    totals: list[int]
+    weighted: list[int]
+
+
+def _census_and_numerator(P: LatticePolytope) -> _Census:
+    """H = M_0 is the census total, N = vol(P) M_d the numerator, and the
+    limit is N.lead/H.lead, which is vol/C(2d+1, d) by algebra once the fits
+    of M_0 and M_d have checked both leads against their closed forms.
+
+    L_P(t) for t = 0..2d+2 is tabulated from the d+3 counts the Ehrhart
+    polynomial was fitted through, the only counts behind H, N and the limit.
     """
     d = P.ambient_dim
-    L = ehrhart_polynomial(P).poly
-    # L takes integers at t = 0..d, so it is integer-valued at every t
-    values = [int(L.evaluate(t)) for t in range(2 * d + 3)]
-    H = _moment(P, values, 0)
-    M_d = _moment(P, values, d)
+    values = _tabulated(ehrhart_polynomial(P).counts, 2 * d + 3)
+    totals, H = _moment(P, values, 0)
+    weighted, M_d = _moment(P, values, d)
     N = RationalPolynomial.from_coeffs(P.volume_d * c for c in M_d.coeffs)
-    return H, N, N.leading_coefficient / H.leading_coefficient
+    return _Census(H, N, N.leading_coefficient / H.leading_coefficient, totals, weighted)
 
 
 def copy_polynomial(P: LatticePolytope) -> RationalPolynomial:
@@ -126,7 +140,7 @@ def copy_polynomial(P: LatticePolytope) -> RationalPolynomial:
     `verify` checks.
     """
     _require_full_dimensional(P, "the copy polynomial")
-    return _census_and_numerator(P)[0]
+    return _census_and_numerator(P).H
 
 
 def mu_ratio(P: LatticePolytope, n: int) -> Fraction:
@@ -142,7 +156,7 @@ def numerator_polynomial(P: LatticePolytope) -> RationalPolynomial:
     leading coefficient d! d! / (2d+1)! * vol(P)^2.
     """
     _require_full_dimensional(P, "the numerator polynomial")
-    return _census_and_numerator(P)[1]
+    return _census_and_numerator(P).N
 
 
 def mu_limit_symbolic(P: LatticePolytope) -> Fraction:
@@ -154,16 +168,17 @@ def mu_limit_symbolic(P: LatticePolytope) -> Fraction:
     check.
     """
     _require_full_dimensional(P, "the symbolic limit")
-    return _census_and_numerator(P)[2]
+    return _census_and_numerator(P).limit
 
 
 def mu_report(P: LatticePolytope, n_max: int) -> MuReport:
     """Ratio sequence for n = 1..n_max plus the exact symbolic limit.
 
-    ratio(n) = N(n) / (n^d H(n)) is read off the verified numerator and census
-    polynomials, so a report costs d+3 lattice-point counts of P whatever
-    n_max is, plus O(n_max) polynomial evaluations. A lower-dimensional
-    polytope yields the all-zero report: every miniature has ambient volume 0.
+    ratio(n) = vol(P) M_d(n) / (n^d M_0(n)), where M_0 and M_d are tabulated
+    in integers from the sums their fits checked, so a report costs d+3
+    lattice-point counts of P whatever n_max is, then 3d+2 integer additions
+    and one Fraction per n. A lower-dimensional polytope yields the all-zero
+    report: every miniature has ambient volume 0.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
@@ -175,10 +190,23 @@ def mu_report(P: LatticePolytope, n_max: int) -> MuReport:
             bound_constant=zero,
         )
     d = P.ambient_dim
-    H, N, limit = _census_and_numerator(P)
-    ratios = [(n, N(n) / (n**d * H(n))) for n in range(1, n_max + 1)]
-    bound = max(abs(r - limit) * n for n, r in ratios)
-    return MuReport(ratios=ratios, symbolic_limit=limit, bound_constant=bound)
+    census = _census_and_numerator(P)
+    totals = _tabulated(census.totals, n_max + 1)
+    weighted = _tabulated(census.weighted, n_max + 1)
+    v, w = P.volume_d.numerator, P.volume_d.denominator
+    ratios = [
+        (n, Fraction(v * weighted[n], w * n**d * totals[n])) for n in range(1, n_max + 1)
+    ]
+    # max |a/b - p/q| n over the ratios a/b, by integer cross-products
+    p, q = census.limit.numerator, census.limit.denominator
+    top, bottom = 0, 1
+    for n, r in ratios:
+        a, b = r.numerator, r.denominator
+        gap = abs(a * q - p * b) * n
+        if gap * bottom > top * b:
+            top, bottom = gap, b
+    bound = Fraction(top, bottom * q)
+    return MuReport(ratios=ratios, symbolic_limit=census.limit, bound_constant=bound)
 
 
 def mu_inclusion_exclusion(parts) -> Fraction:

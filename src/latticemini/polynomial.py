@@ -5,13 +5,16 @@ zeros), so equality is coefficient-wise equality and degree is implicit.
 `_fitted` is the one fit-and-check, for L, the census moments behind H and
 N, and the oracle's power-product sums: one interpolation through degree+3
 samples, where a higher degree is an internal error, then a check of degree
-and lead against the closed form the theorem gives.
+and lead against the closed form the theorem gives. `_tabulated` gives the
+checked polynomial's values at 0, 1, 2, ... from the same integer samples,
+by integer additions alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
 from math import factorial, lcm
 from typing import Iterable, Sequence
 
@@ -73,17 +76,15 @@ class RationalPolynomial:
             return cls(())
         m = len(values)
         q = lcm(*(Fraction(v).denominator for v in values))
-        diffs = [int(Fraction(v) * q) for v in values]
         weight = factorial(m - 1)  # (m-1)!/k! for the current k
         scale = q * weight
         out = [0] * m
         falling = [1]  # t(t-1)...(t-k+1), lowest degree first
-        for k in range(m):
-            lead = diffs[0] * weight
+        for k, head in enumerate(_differences([int(Fraction(v) * q) for v in values])):
+            lead = head * weight
             if lead:
                 for j, c in enumerate(falling):
                     out[j] += lead * c
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
             falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
             weight //= k + 1
         return cls(_canonical(Fraction(c, scale) for c in out))
@@ -138,3 +139,32 @@ def _fitted(samples, degree: int, lead: Fraction, what: str) -> RationalPolynomi
             f"{poly.leading_coefficient}, not degree {degree} and lead {lead}"
         )
     return poly
+
+
+def _differences(values: Sequence[int]) -> list[int]:
+    """D^k p(0) for k = 0..deg, where p is the polynomial with p(t) = values[t].
+
+    These head the rows of the forward-difference table of the values; the
+    table stops at its first row of zeros, so the zero polynomial has none.
+    """
+    heads = []
+    row = list(values)
+    while any(row):
+        heads.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return heads
+
+
+def _tabulated(samples: Sequence[int], count: int) -> list[int]:
+    """Values at t = 0..count-1 of the polynomial through the integer samples.
+
+    Each D^k p(0) starts a running sum fed by the order above it, so every
+    value costs deg integer additions and no Fraction (Knuth, TAOCP vol. 2,
+    sec. 4.6.4). Once `_fitted` has checked the samples, the table's top two
+    differences are zero and these are the fit's values.
+    """
+    heads = _differences(samples)
+    column = repeat(heads.pop() if heads else 0)  # the constant D^deg p
+    for head in reversed(heads):
+        column = accumulate(column, initial=head)
+    return list(islice(column, count))

@@ -175,7 +175,7 @@ def _census_monotone():
 
 
 def _census_vs_counts():
-    # L_P(n - i) read off the Ehrhart polynomial vs direct counts past every node
+    # L_P(n - i) tabulated from the Ehrhart counts vs direct counts past every node
     for name, P in corpus.full_corpus():
         n = 2 * P.ambient_dim + 5
         per_scale = copy_census(P, n).per_scale

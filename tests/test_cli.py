@@ -24,6 +24,7 @@ OVER_LONG_INTEGER = (
     f"an integer in the input has more than {sys.get_int_max_str_digits()} digits, "
     "the interpreter's limit"
 )
+OVER_LONG_ANSWER = OVER_LONG_INTEGER.replace("the input", "the answer")
 
 
 def run_cli(capsys, *argv):
@@ -328,6 +329,18 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv", [["count", "--t-max", "1"], ["ehrhart"], ["mu", "--n-max", "1"]],
+        ids=["count", "ehrhart", "mu"],
+    )
+    def test_over_long_answer_names_the_limit(self, capsys, argv):
+        # the answer, not the input, is past the limit for str(int): the error
+        # names the limit, not the interpreter setting a CLI user cannot reach
+        b = 10**2200
+        doc = json.dumps({"vertices": [[0, 0], [b, 0], [0, b]]})
+        code, out, err = run_cli(capsys, *argv, "--input", doc)
+        assert (code, out, err) == (2, "", f"error: {OVER_LONG_ANSWER}\n")
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--preset", "square", "--t-max", "2", "--frobnicate"])
@@ -584,7 +597,7 @@ def test_module_entry_point():
 
 
 def test_large_census_reads_the_polynomial():
-    # 3000 scales, each L(n - i) read off the Ehrhart polynomial of the cube
+    # 3000 scales, each L(n - i) tabulated from the cube's d+3 Ehrhart counts
     argv, env = module_command(
         "copies", "--preset", "cube3", "--n", "3000", "--format", "json"
     )

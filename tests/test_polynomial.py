@@ -1,15 +1,15 @@
 """RationalPolynomial: canonical form, exact evaluation, interpolation."""
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import shift_argument
 from latticemini import InternalConsistencyError, RationalPolynomial, TheoremViolationError
-from latticemini.polynomial import _fitted
+from latticemini.polynomial import _fitted, _tabulated
 
 
 def test_trailing_zeros_stripped():
@@ -118,3 +118,20 @@ def test_readme_quick_start(capsys):
 def test_fitted_failure_names_what(sample, lead, error):
     with pytest.raises(error, match="triangular"):
         _fitted([sample(n) for n in range(5)], 2, lead, "triangular")
+
+
+# -- integer tabulation from the samples a fit checked --
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=9), st.integers(0, 10))
+@example(weights=[0, 0, 0, 0], shorter=2)
+@settings(max_examples=80, deadline=None)
+def test_tabulated_matches_horner(weights, shorter):
+    # p(t) = sum_k w_k C(t, k) is integer-valued of degree <= len(weights) - 1,
+    # and zero when every w_k is; the samples are p at 0..deg+2, as `_fitted`
+    # takes them
+    m = len(weights) + 2
+    samples = [sum(w * comb(t, k) for k, w in enumerate(weights)) for t in range(m)]
+    p = RationalPolynomial.interpolate(samples)
+    for count in (min(shorter, m - 1), m, m + 300):
+        assert _tabulated(samples, count) == [p.evaluate(t) for t in range(count)]

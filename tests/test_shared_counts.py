@@ -1,7 +1,7 @@
-"""Censuses and ratio sequences read off the Ehrhart polynomial, and the
+"""Censuses and ratio sequences tabulated from the Ehrhart counts, and the
 pyramid hulled from its base and apex, against the routes they replaced:
-per-n censuses, box-scan counts of every dilate, and the pyramid built from
-P's facets."""
+Fraction Horner on the fitted polynomials, box-scan counts of every dilate,
+and the pyramid built from P's facets."""
 
 from fractions import Fraction
 
@@ -11,40 +11,49 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import box_scan_count, facet_pyramid
 from latticemini import (
     LatticePolytope,
+    RationalPolynomial,
     copy_census,
     copy_polynomial,
     corpus,
     from_vertices,
     mu_limit_symbolic,
-    mu_ratio,
     mu_report,
     numerator_polynomial,
     pyramid,
 )
 from latticemini import ehrhart, miniatures
+from latticemini.polynomial import _tabulated
 
 # (name, polytope, n_max): every full-dimensional corpus entry, a d = 4 box
-# and the d = 4 and d = 5 simplices.
-CASES = [
-    (name, P, 12 if P.ambient_dim <= 2 else 6)
-    for name, P in corpus.full_corpus()
-    if P.is_full_dimensional
-] + [
-    ("box1111", corpus.box(1, 1, 1, 1), 4),
-    ("simplex4", corpus.simplex(4), 5),
-    ("simplex5", corpus.simplex(5), 4),
+# and the d = 4 and d = 5 simplices. n_max is past n = 2d+3, the last sum the
+# fit of M_d took, so the tabulations are checked where they extrapolate.
+POLYTOPES = [(name, P) for name, P in corpus.full_corpus() if P.is_full_dimensional] + [
+    ("box1111", corpus.box(1, 1, 1, 1)),
+    ("simplex4", corpus.simplex(4)),
+    ("simplex5", corpus.simplex(5)),
 ]
+CASES = [(name, P, max(12, 2 * P.ambient_dim + 6)) for name, P in POLYTOPES]
 
 
 @pytest.mark.parametrize("name, P, n_max", CASES, ids=[c[0] for c in CASES])
 def test_mu_report_matches_per_n_route(name, P, n_max):
+    # the integer tabulations against Fraction Horner on the fitted H, N and L,
+    # evaluated one n at a time
+    d = P.ambient_dim
+    H, N = copy_polynomial(P), numerator_polynomial(P)
+    L = ehrhart.ehrhart_polynomial(P).poly
     report = mu_report(P, n_max)
-    assert report.ratios == [(n, mu_ratio(P, n)) for n in range(1, n_max + 1)]
-    assert report.symbolic_limit == mu_limit_symbolic(P)
+    assert report.ratios == [(n, N(n) / (n**d * H(n))) for n in range(1, n_max + 1)]
+    limit = mu_limit_symbolic(P)
+    assert report.symbolic_limit == limit
+    assert report.bound_constant == max(abs(r - limit) * n for n, r in report.ratios)
+    census = copy_census(P, n_max)
+    assert census.per_scale == {i: L(n_max - i) for i in range(1, n_max + 1)}
+    assert (census.total, n_max**d * census.volume_sum) == (H(n_max), N(n_max))
 
 
-@pytest.mark.parametrize("name, P, n_max", CASES, ids=[c[0] for c in CASES])
-def test_pyramid_matches_hull(name, P, n_max):
+@pytest.mark.parametrize("name, P", POLYTOPES, ids=[c[0] for c in POLYTOPES])
+def test_pyramid_matches_hull(name, P):
     built, hulled = facet_pyramid(P), pyramid(P)
     assert built.ambient_dim == hulled.ambient_dim
     assert built.vertices == hulled.vertices
@@ -106,6 +115,17 @@ def test_mu_report_counts_do_not_grow_with_n_max(count_calls):
     assert at_40 == len(count_calls) == 5
 
 
+def test_censuses_evaluate_no_polynomial(monkeypatch):
+    # every census value is tabulated in integers from a fit's checked samples
+    def refuse(self, t):
+        raise AssertionError(f"Fraction Horner evaluation at t = {t}")
+
+    monkeypatch.setattr(RationalPolynomial, "evaluate", refuse)
+    assert mu_report(corpus.pentagon(), 400).ratios[-1][0] == 400
+    assert copy_census(corpus.reeve(5), 60).per_scale[60] == 1
+    assert mu_limit_symbolic(corpus.reeve(5)) == Fraction(1, 42)
+
+
 def test_copy_census_counts_do_not_grow_with_n(count_calls):
     copy_census(corpus.reeve(5), 60)
     assert len(count_calls) == 6  # d+3 for d = 3
@@ -130,7 +150,7 @@ SHEARED = (
         [(a + b, b + c, c - e, e) for a, b, c, e in corpus.box(1, 1, 1, 1).vertices]
     ),
 )
-DIFF_CASES = [(name, P) for name, P, _ in CASES] + [SHEARED]
+DIFF_CASES = POLYTOPES + [SHEARED]
 
 
 def assert_polynomial_route_matches_box_scan(P):
@@ -151,10 +171,10 @@ def assert_polynomial_route_matches_box_scan(P):
     L = ehrhart.ehrhart_polynomial(P).poly
     values = [int(L(t)) for t in range(2 * d + 3)]
     for k in range(d + 1):
-        moment = miniatures._moment(P, values, k)
-        assert [moment(m) for m in range(n + 1)] == [
-            sum(i**k * counts[m - i] for i in range(1, m + 1)) for m in range(n + 1)
-        ], k
+        sums, moment = miniatures._moment(P, values, k)
+        want = [sum(i**k * counts[m - i] for i in range(1, m + 1)) for m in range(n + 1)]
+        assert [moment(m) for m in range(n + 1)] == want, k
+        assert _tabulated(sums, n + 1) == want, k
 
 
 @pytest.mark.parametrize("name, P", DIFF_CASES, ids=[c[0] for c in DIFF_CASES])
