@@ -2,18 +2,25 @@
 
 This is the package's hot path: project-and-lift enumeration, as in Normaliz
 (Bruns-Ichim), which is Fourier-Motzkin projection applied to lattice
-points, over P's projection tower (`LiftPlan`). Its axes are P's axes by
-bounding-box width, narrowest first (outermost), ties by index. Level k
-holds the facets a.y <= b of P's projection onto axes 0..k with a_k != 0:
+points, over P's projection tower (`LiftPlan`). The tower's axes are not
+P's axes but reduced functionals: the rows of a unimodular U that is an
+LLL-reduced basis of Z^d under the Gram form sum w w^T of P's m vertices,
+centred as w = m*v - sum(v) (`_linalg.lll`), narrowest over P first
+(outermost), ties by index. The tower counts UP, whose vertices are Uv and
+whose facets are (aV).y <= b for P's a.x <= b, with V = U^-1; aV stays
+primitive. U maps Z^d onto itself, so UP has every closed and interior
+count of P. The reduced functionals of a sheared P are about as narrow as
+those of its unsheared form, so it walks about as few prefixes. Level k
+holds the facets a.y <= b of UP's projection onto axes 0..k with a_k != 0:
 once y_0..y_{k-1} are fixed, they bound y_k above (a_k > 0) and below
 (a_k < 0), scaled by t, so every prefix enumerated lies in the projection
-of tP. A facet with a_k = 0 is implied by the level below and dropped; a
-facet of P sits in the level of its last nonzero coefficient. The tower
-does not depend on t, so `LatticePolytope.lift_plan` builds it once per
-object. An interior count tightens each facet of P by one and keeps the
-other rows closed; it stays exact, as those admit a superset of the
-interior points' prefixes and the slice counts only the x where its lines
-are not empty.
+of tUP. A facet with a_k = 0 is implied
+by the level below and dropped; a facet of UP sits in the level of its last
+nonzero coefficient. The tower does not depend on t, so
+`LatticePolytope.lift_plan` builds it once per object. An interior count
+tightens each facet of UP by one and keeps the other rows closed; it stays
+exact, as those admit a superset of the interior points' prefixes and the
+slice counts only the x where its lines are not empty.
 
 The last two axes are one slice, counted in closed form with no loop over
 its lines: the top and the bottom of the line at x are each the lowest of a
@@ -28,20 +35,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import (
-    LatticePolytope,
-    _facet_halfspaces,
-    _require_full_dimensional,
-    bounding_box,
-)
+from . import _linalg as la
+from .geometry import LatticePolytope, _facet_halfspaces, _require_full_dimensional
 
 
 @dataclass(frozen=True)
 class LiftPlan:
-    """P's projection tower, row by row, as the module docstring lays it out.
+    """P's projection tower in the reduced functionals, row by row.
+
+    The module docstring lays it out; the axes are those functionals, so
+    the rows are facets of UP and its projections, not of P.
 
     offsets   b of every row, level by level, each level's upper bounds first
-    strict    1 for a facet of P (a row an interior count tightens), else 0
+    strict    1 for a facet of UP (a row an interior count tightens), else 0
     levels    per level k: (a_k of its upper rows, -a_k of its lower rows,
               a_k of every row of the levels above k, in row order)
     """
@@ -53,10 +59,18 @@ class LiftPlan:
 
 def _lift_plan(P: LatticePolytope) -> LiftPlan:
     d = P.ambient_dim
-    mins, maxs = bounding_box(P)
-    order = sorted(range(d), key=lambda j: (maxs[j] - mins[j], j))
-    verts = [tuple(v[j] for j in order) for v in P.vertices]
-    own = {(tuple(h.normal[j] for j in order), h.offset) for h in P.halfspaces}
+    m = len(P.vertices)
+    total = [sum(column) for column in zip(*P.vertices)]
+    centred = [[m * x - s for x, s in zip(v, total)] for v in P.vertices]
+    gram = [[sum(w[i] * w[j] for w in centred) for j in range(d)] for i in range(d)]
+    U, V = la.lll(gram)
+    images = [[la.dot(u, v) for v in P.vertices] for u in U]
+    order = sorted(range(d), key=lambda i: (max(images[i]) - min(images[i]), i))
+    verts = list(zip(*(images[i] for i in order)))
+    columns = [tuple(row[i] for row in V) for i in order]
+    own = {
+        (tuple(la.dot(h.normal, c) for c in columns), h.offset) for h in P.halfspaces
+    }
     rows, split = [], []
     for k in range(d):
         if k < d - 1:

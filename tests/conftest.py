@@ -27,6 +27,7 @@ from itertools import combinations, permutations, product
 from math import comb, factorial, gcd, prod
 
 import pytest
+from hypothesis import strategies as st
 
 from latticemini import (
     NotFullDimensionalError,
@@ -372,6 +373,25 @@ def cross_polytope(d: int):
     return from_vertices(
         [tuple(s if j == i else 0 for j in range(d)) for i in range(d) for s in (1, -1)]
     )
+
+
+def image(points, matrix, shift):
+    """The points under x -> matrix . x + shift."""
+    return [tuple(la.dot(row, p) + s for row, s in zip(matrix, shift)) for p in points]
+
+
+@st.composite
+def unimodular(draw, d: int, shear: int = 2):
+    """A signed permutation times a few elementary shears of at most +-`shear`."""
+    perm = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=d, max_size=d))
+    m = [[signs[i] if j == perm[i] else 0 for j in range(d)] for i in range(d)]
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    for _ in range(draw(st.integers(min_value=0, max_value=4)) if pairs else 0):
+        i, j = draw(st.sampled_from(pairs))
+        c = draw(st.integers(min_value=-shear, max_value=shear))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return m
 
 
 def shoelace(ring) -> Fraction:

@@ -1,8 +1,8 @@
 """The project-and-lift kernel against the box-scan oracle, closed and interior.
 
 `box_scan_count` (conftest) walks the whole bounding box of tP in index
-order; `count_points` walks a tower of projections in width order. The two
-share no code, so every equality below is a differential check.
+order; `count_points` walks a tower of projections in an LLL-reduced basis.
+The two share no code, so every equality below is a differential check.
 `line_scan_count` (conftest) walks the same tower as `count_points` but
 resolves each line of the last axis on its own, so it checks the closed-form
 slices alone, at larger dilates than the box scan affords.
@@ -14,7 +14,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import box_scan_count, cross_polytope, line_scan_count
+from conftest import box_scan_count, cross_polytope, image, line_scan_count, unimodular
 from latticemini import (
     HalfSpace,
     LatticePolytope,
@@ -140,6 +140,55 @@ def test_thin_property(case):
             assert count_points(P, t, interior=interior) == box_scan_count(
                 moved, t, interior
             ), (t, interior, d)
+
+
+SHEAR_CASES = [P for _, P, _ in CASES if 2 <= P.ambient_dim <= 5] + [
+    corpus.simplex(4),
+    corpus.box(1, 1, 1, 1),
+    cross_polytope(4),
+]
+
+# the largest dilate drawn per dimension: the outer levels of a reduced
+# tower take about t^(d-2) prefixes, at most a few thousand here
+LARGE_T = {2: 10**3, 3: 10**3, 4: 40, 5: 10}
+
+
+@given(P=st.sampled_from(SHEAR_CASES), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_unimodular_image_keeps_every_count(P, data):
+    # x -> Ux + s with det U = +-1 maps Z^d onto itself, so UP + s has every
+    # count of P; at small t, P's counts are checked by the box scan too
+    d = P.ambient_dim
+    matrix = data.draw(unimodular(d, shear=50))
+    shift = data.draw(st.lists(st.integers(-50, 50), min_size=d, max_size=d))
+    Q = from_vertices(image(P.vertices, matrix, shift))
+    dilates = (data.draw(st.integers(0, LARGE_T[d])), LARGE_T[d])
+    for interior in (False, True):
+        for t in dilates:
+            assert count_points(Q, t, interior) == count_points(P, t, interior), (t, interior)
+        for s in range(oracle_t_max(P, cap=2) + 1):
+            expected = box_scan_count(P, s, interior)
+            assert count_points(Q, s, interior) == expected, (s, interior)
+
+
+def test_sheared_cube_walks_the_slices_of_the_cube(monkeypatch):
+    # the shear's reduced basis is the cube's axes up to sign and order, so
+    # its tower is the cube's: one slice per value of the outermost axis,
+    # where the shear's own axes, narrowest first, would take 3,101
+    slices = []
+    original = counting._slice
+
+    def counted(*args):
+        slices.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(counting, "_slice", counted)
+    cube = unit_cube(3)
+    shear = [[1, 30, 0], [30, 901, 30], [0, 30, 901]]
+    for P in (cube, from_vertices(image(cube.vertices, shear, (0, 0, 0)))):
+        slices.clear()
+        assert count_points(P, 100) == 101**3
+        assert len(slices) == 101
 
 
 def assert_matches_line_scan(P, dilates):

@@ -1,15 +1,18 @@
-"""The Bareiss kernel and the projection chart against independent routes.
+"""The Bareiss kernel, the LLL reduction and the projection chart against
+independent routes.
 
 Determinants go against a Leibniz permutation sum, ranks against a Fraction
-elimination, and hulls of lattice polytopes carried into R^4 and R^5 by
-integer maps against the images of the known vertices.
+elimination, reduced bases against a Fraction Gram-Schmidt, and hulls of
+lattice polytopes carried into R^4 and R^5 by integer maps against the
+images of the known vertices.
 """
 
+from fractions import Fraction
 from itertools import permutations
 
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import rank_exact
+from conftest import image, rank_exact, unimodular
 from latticemini import _linalg as la
 from latticemini import corpus, from_vertices
 
@@ -68,8 +71,62 @@ def test_null_vector_spans_a_line(m):
         assert all(la.dot(v, row) == 0 for row in m)
 
 
-def _image(points, matrix, shift):
-    return [tuple(la.dot(row, p) + s for row, s in zip(matrix, shift)) for p in points]
+def identity(d: int):
+    return [[int(i == j) for j in range(d)] for i in range(d)]
+
+
+def gram_schmidt(basis, gram):
+    """Coefficients mu[k][j] and squared lengths of `basis` under `gram`, in Fractions."""
+
+    def form(u, w):
+        return sum(x * g * y for x, row in zip(u, gram) for g, y in zip(row, w))
+
+    stars, mu, norms = [], [], []
+    for b in basis:
+        coefficients = [form(b, s) / n for s, n in zip(stars, norms)]
+        star = [Fraction(x) for x in b]
+        for c, s in zip(coefficients, stars):
+            star = [x - c * y for x, y in zip(star, s)]
+        stars.append(star)
+        mu.append(coefficients)
+        norms.append(form(star, star))
+    return mu, norms
+
+
+@st.composite
+def cloud_grams(draw):
+    """The Gram matrix, sum of p p^T, of a skewed integer point cloud of full rank in R^d."""
+    d = draw(st.integers(min_value=1, max_value=6))
+    coord = st.integers(min_value=-20, max_value=20)
+    points = draw(st.lists(st.tuples(*([coord] * d)), min_size=d, max_size=d + 4))
+    points = image(points, draw(unimodular(d, shear=10)), [0] * d)
+    gram = [[sum(p[i] * p[j] for p in points) for j in range(d)] for i in range(d)]
+    assume(rank_exact(gram) == d)
+    return gram
+
+
+@given(cloud_grams())
+@settings(max_examples=150, deadline=None)
+def test_lll_basis_is_reduced(gram):
+    d = len(gram)
+    U, V = la.lll(gram)
+    assert all(isinstance(x, int) for row in U + V for x in row)
+    assert [[la.dot(row, column) for column in zip(*V)] for row in U] == identity(d)
+    mu, norms = gram_schmidt(U, gram)
+    for k in range(d):
+        assert all(abs(c) <= Fraction(1, 2) for c in mu[k]), (k, mu)  # size reduced
+        if k:  # the Lovasz condition, delta = 3/4
+            assert norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1], (k, norms)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=6))
+@settings(max_examples=50, deadline=None)
+def test_lll_keeps_a_reduced_diagonal_form(lengths):
+    # the unit vectors are orthogonal, and squared lengths that never fall
+    # meet the Lovasz condition, so there is nothing to reduce
+    d = len(lengths)
+    gram = [[x if i == j else 0 for j, x in enumerate(sorted(lengths))] for i in range(d)]
+    assert la.lll(gram) == (identity(d), identity(d))
 
 
 @st.composite
@@ -89,23 +146,10 @@ def embeddings(draw, r: int, d: int):
 @settings(max_examples=60, deadline=None)
 def test_embedded_polytope_keeps_its_vertices(case):
     points, P, matrix, shift = case
-    Q = from_vertices(_image(points, matrix, shift))
+    Q = from_vertices(image(points, matrix, shift))
     assert Q.dim == P.dim
     assert Q.halfspaces == () and Q.volume_d == 0
-    assert Q.vertices == tuple(sorted(_image(P.vertices, matrix, shift)))
-
-
-@st.composite
-def unimodular(draw, d: int):
-    """A signed permutation times a few random elementary shears."""
-    perm = draw(st.permutations(range(d)))
-    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=d, max_size=d))
-    m = [[signs[i] if j == perm[i] else 0 for j in range(d)] for i in range(d)]
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        i, j = draw(st.sampled_from([(i, j) for i in range(d) for j in range(d) if i != j]))
-        c = draw(st.integers(min_value=-2, max_value=2))
-        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-    return m
+    assert Q.vertices == tuple(sorted(image(P.vertices, matrix, shift)))
 
 
 @given(st.sampled_from([corpus.box(1, 1, 1, 1), corpus.simplex(5)]), st.data())
@@ -115,8 +159,8 @@ def test_unimodular_image_keeps_volume_and_vertices(P, data):
     matrix = data.draw(unimodular(d))
     assert abs(leibniz_det(matrix)) == 1
     shift = data.draw(st.lists(entry, min_size=d, max_size=d))
-    Q = from_vertices(_image(P.vertices, matrix, shift))
+    Q = from_vertices(image(P.vertices, matrix, shift))
     assert Q.volume_d == P.volume_d
     assert len(Q.vertices) == len(P.vertices)
     assert len(Q.halfspaces) == len(P.halfspaces)
-    assert Q.vertices == tuple(sorted(_image(P.vertices, matrix, shift)))
+    assert Q.vertices == tuple(sorted(image(P.vertices, matrix, shift)))
