@@ -27,8 +27,13 @@ its lines: the top and the bottom of the line at x are each the lowest of a
 few linear functions of x, so the slice splits into pieces on which one row
 bounds each side, and on each piece the sum of floor(top) + floor(bottom) +
 1 is a Euclid-like floor sum (Graham-Knuth-Patashnik, Concrete Mathematics,
-section 3.5). A count costs the prefixes of the outer levels times a few
-rows and pieces, however long its slices are.
+section 3.5). The axis before them (d >= 3) is walked in place, not by
+recursion: its range splits the same way into pieces on which one row
+bounds the slice's range on each side, and along a piece every slack that
+a slice reads runs down by a fixed step. A slice with one row on each side
+is one piece, so it costs two floor divisions and two floor sums. A count
+costs the prefixes of the levels above the slices times a few rows and
+pieces, however long its slices are.
 """
 
 from __future__ import annotations
@@ -154,17 +159,14 @@ def _envelope(rows, lo: int, hi: int) -> list[tuple[int, int, int, int]]:
         x = end + 1
 
 
-def _slice(upper, lower, lo: int, hi: int) -> int:
-    """Lattice points (x, y) with lo <= x <= hi under every row of both sides.
+def _merged(upper, lower, lo: int, hi: int, count) -> int:
+    """The sum of `count` over the pieces of lo..hi where one row per side is lowest.
 
     Each row is (s, a, e) with e > 0: an upper row bounds y above by
     (s - a*x)/e, and a lower row bounds -y above the same way. The two
-    envelopes are merged into pieces on which one row of each side is
-    active; on each piece the line counts floor(top) + floor(bottom) + 1
-    are summed in closed form over the x where top + bottom >= 0. There the
-    count is >= 0, and elsewhere it is < 0 and clamps to an empty line, so
-    a slice that is empty in places (as tightened interior slices can be)
-    is still counted exactly.
+    sides' `_envelope`s are merged, and each piece first..last with upper
+    row (s, a, e) and lower row (t, b, f) adds count(first, last, s, a, e,
+    t, b, f).
     """
     ups = _envelope(upper, lo, hi)
     downs = _envelope(lower, lo, hi)
@@ -175,26 +177,100 @@ def _slice(upper, lower, lo: int, hi: int) -> int:
         up_end, s, a, e = ups[i]
         down_end, t, b, f = downs[j]
         end = min(up_end, down_end)
-        # top + bottom >= 0 is c - g*x >= 0
-        c, g = s * f + t * e, a * f + b * e
-        first, last = x, end
-        if g > 0:
-            last = min(last, c // g)
-        elif g < 0:
-            first = max(first, -(c // -g))
-        elif c < 0:
-            last = first - 1
-        n = last - first + 1
-        if n > 0:
-            total += (
-                _floor_sum(n, e, -a, s - a * first)
-                + _floor_sum(n, f, -b, t - b * first)
-                + n
-            )
+        total += count(x, end, s, a, e, t, b, f)
         x = end + 1
         i += up_end == end
         j += down_end == end
     return total
+
+
+def _piece(first: int, last: int, s: int, a: int, e: int, t: int, b: int, f: int) -> int:
+    """Lattice points (x, y) with first <= x <= last, e*y <= s - a*x and -f*y <= t - b*x.
+
+    One row bounds each side: y lies between -(t - b*x)/f and (s - a*x)/e,
+    with e, f > 0. The line counts floor(top) + floor(bottom) + 1 are summed
+    in closed form over the x where top + bottom >= 0. There the count is
+    >= 0, and elsewhere it is < 0 and clamps to an empty line, so a range
+    that is empty in places (as tightened interior slices can be) is still
+    counted exactly.
+    """
+    # top + bottom >= 0 is c - g*x >= 0
+    c, g = s * f + t * e, a * f + b * e
+    if g > 0:
+        if c // g < last:
+            last = c // g
+    elif g < 0:
+        if -(c // -g) > first:
+            first = -(c // -g)
+    elif c < 0:
+        return 0
+    n = last - first + 1
+    if n <= 0:
+        return 0
+    return _floor_sum(n, e, -a, s - a * first) + _floor_sum(n, f, -b, t - b * first) + n
+
+
+def _slice(upper, lower, lo: int, hi: int) -> int:
+    """Lattice points (x, y) with lo <= x <= hi under every row of both sides.
+
+    Rows are as in `_merged`; `_piece` counts each piece in closed form.
+    """
+    return _merged(upper, lower, lo, hi, _piece)
+
+
+def _walk(levels, slack, lo: int, hi: int) -> int:
+    """Points of the tower above one prefix y_0..y_{d-4}, from level d-3 on.
+
+    `slack` holds b - (a . prefix) for every row of the last two levels, in
+    plan order, and lo..hi is the range of x = y_{d-3}. Level d-2's rows
+    bound y_{d-2} by (s - a*x)/e, so `_merged` splits lo..hi into pieces
+    where one upper and one lower row bound it. Along a piece, those two
+    slacks and the slice rows' slacks run down by their coefficient of x at
+    each step. A slice with one row on each side is one piece, counted by
+    `_piece`; otherwise `_slice` counts it.
+    """
+    _, _, above = levels[-3]
+    upper, lower, middle = levels[-2]
+    line_upper, line_lower, _ = levels[-1]
+    nu = len(upper)
+    n = nu + len(lower)
+    lines = list(zip(slack[n:], above[n:], middle, line_upper + line_lower))
+    split = len(line_upper)
+
+    if len(lines) == 2:
+        (p, pa, pb, pe), (q, qa, qb, qf) = lines
+
+        def slices(first, last, s, a, e, t, b, f):
+            top, bottom = s - a * first, t - b * first
+            up, down = p - pa * first, q - qa * first
+            total = 0
+            for _ in range(last - first + 1):
+                y_hi, y_lo = top // e, -(bottom // f)
+                if y_lo <= y_hi:
+                    total += _piece(y_lo, y_hi, up, pb, pe, down, qb, qf)
+                top -= a
+                bottom -= b
+                up -= pa
+                down -= qa
+            return total
+
+    else:
+
+        def slices(first, last, s, a, e, t, b, f):
+            top, bottom = s - a * first, t - b * first
+            total = 0
+            for x in range(first, last + 1):
+                y_hi, y_lo = top // e, -(bottom // f)
+                if y_lo <= y_hi:
+                    rows = [(r - ra * x, rb, re) for r, ra, rb, re in lines]
+                    total += _slice(rows[:split], rows[split:], y_lo, y_hi)
+                top -= a
+                bottom -= b
+            return total
+
+    upper_rows = list(zip(slack[:nu], above[:nu], upper))
+    lower_rows = list(zip(slack[nu:n], above[nu:n], lower))
+    return _merged(upper_rows, lower_rows, lo, hi, slices)
 
 
 def _lift(levels, slack, k: int) -> int:
@@ -203,7 +279,8 @@ def _lift(levels, slack, k: int) -> int:
     `slack` holds b - (a . prefix) for every row of levels k and above, in
     plan order. The range of y_k is read off level k's rows in closed form;
     fixing y_k = x takes a_k x off the slack of every row above. The last
-    two levels are one slice, counted by `_slice` with no loop over x.
+    two levels are one slice, counted by `_slice`, and the three last by
+    `_walk`, with no recursion.
     """
     upper, lower, above = levels[k]
     hi = min([s // a for s, a in zip(slack, upper)])
@@ -218,6 +295,8 @@ def _lift(levels, slack, k: int) -> int:
         rows = list(zip(rest, above, line_upper + line_lower))
         n = len(line_upper)
         return _slice(rows[:n], rows[n:], lo, hi)
+    if k == len(levels) - 3:
+        return _walk(levels, rest, lo, hi)
     total = 0
     for x in range(lo, hi + 1):
         total += _lift(levels, [s - a * x for s, a in zip(rest, above)], k + 1)

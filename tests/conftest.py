@@ -6,7 +6,7 @@ machinery: membership goes through convex-combination feasibility
 counting tests have a second, independent route to the same numbers. The
 line-scan oracle walks the library's projection tower but resolves every
 lattice line of the last axis on its own, so it checks the closed-form
-slice kernel line by line. The triangulation oracle re-hulls every face it
+walk and slice kernel line by line. The triangulation oracle re-hulls every face it
 visits in its own chart, so it shares no face-lattice code with
 `geometry._triangulate`. The ray oracle scans every (k-1)-subset of the
 rows where the library adds rows one at a time. The hull and intersection
@@ -173,10 +173,12 @@ def box_scan_count(P, t: int, interior: bool = False) -> int:
 def line_scan_count(P, t: int, interior: bool = False) -> int:
     """Count of tP over `P.lift_plan`, one lattice line of the last axis at a time.
 
-    The reference for `counting._slice`: it walks the same projection tower
-    as `count_points` but resolves each line on its own, as
-    floor(top) - ceil(bottom) + 1 from the facets of P, with no envelope,
-    no crossing and no floor sum.
+    The reference for the closed-form levels of `count_points`, the walk of
+    level d-3 in pieces and the slices below it: it walks the same
+    projection tower, but by recursion through every value of every level,
+    and resolves each line on its own, as floor(top) - ceil(bottom) + 1
+    from the facets of P, with no envelope, no crossing, no running slack
+    and no floor sum.
     """
     plan = P.lift_plan
     levels = plan.levels

@@ -4,10 +4,12 @@
 order; `count_points` walks a tower of projections in an LLL-reduced basis.
 The two share no code, so every equality below is a differential check.
 `line_scan_count` (conftest) walks the same tower as `count_points` but
-resolves each line of the last axis on its own, so it checks the closed-form
+recurses through every level and resolves each line of the last axis on its
+own, so it checks the walk of level d-3 in pieces and the closed-form
 slices alone, at larger dilates than the box scan affords.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -174,15 +176,17 @@ def test_unimodular_image_keeps_every_count(P, data):
 def test_sheared_cube_walks_the_slices_of_the_cube(monkeypatch):
     # the shear's reduced basis is the cube's axes up to sign and order, so
     # its tower is the cube's: one slice per value of the outermost axis,
-    # where the shear's own axes, narrowest first, would take 3,101
+    # where the shear's own axes, narrowest first, would take 3,101; the
+    # cube's slices have one row per side, so `_walk` counts each with one
+    # `_piece` call
     slices = []
-    original = counting._slice
+    original = counting._piece
 
     def counted(*args):
         slices.append(args)
         return original(*args)
 
-    monkeypatch.setattr(counting, "_slice", counted)
+    monkeypatch.setattr(counting, "_piece", counted)
     cube = unit_cube(3)
     shear = [[1, 30, 0], [30, 901, 30], [0, 30, 901]]
     for P in (cube, from_vertices(image(cube.vertices, shear, (0, 0, 0)))):
@@ -214,6 +218,79 @@ def test_thin_slices_match_the_line_scan(case):
     # interior lines are empty, so each slice is clipped to where it is not
     P, _ = case
     assert_matches_line_scan(P, range(1, 4))
+
+
+def sheared_hulls() -> list[LatticePolytope]:
+    """Three hulls of 2d points in [-1, 2]^d under three shears each, d = 3..5."""
+    rng = random.Random(5)
+    hulls = []
+    for d in (3, 4, 5):
+        for _ in range(3):
+            points = [tuple(rng.randint(-1, 2) for _ in range(d)) for _ in range(2 * d)]
+            matrix = [[int(i == j) for j in range(d)] for i in range(d)]
+            for _ in range(3):  # row i += c row j, determinant 1
+                i, j = rng.sample(range(d), 2)
+                c = rng.choice((-2, -1, 1, 2))
+                matrix[i] = [x + c * y for x, y in zip(matrix[i], matrix[j])]
+            P = from_vertices(image(points, matrix, (0,) * d))
+            if P.is_full_dimensional:
+                hulls.append(P)
+    return hulls
+
+
+# the prism over a hexagon is taller than wide, so its tower takes the
+# hexagon's axes first: two rows per side bound y_{d-2}, and the prism's top
+# and bottom are the slices' only rows
+HEXAGON = [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)]
+WALK_CASES = (
+    [cross_polytope(d) for d in (3, 4, 5)]
+    + [from_vertices([p + (z,) for p in HEXAGON for z in (0, 5)])]
+    + sheared_hulls()
+)
+
+
+@pytest.mark.parametrize("P", WALK_CASES, ids=[f"walk{i}" for i in range(len(WALK_CASES))])
+def test_walk_matches_the_line_scan(P):
+    # level d-3 is walked in pieces of its range; the line scan recurses
+    # through every value there and every line of the slices
+    assert_matches_line_scan(P, range(oracle_t_max(P, cap=8) + 1))
+
+
+def test_walk_cases_split_into_pieces(monkeypatch):
+    # the cases above must reach every branch of `counting._walk`: level
+    # d-2 with several rows on a side, slices of one row and of several
+    # rows per side, and ranges split into several pieces, some with no
+    # point at all
+    walks = []
+    original = counting._merged
+
+    def recorded(upper, lower, lo, hi, count):
+        if count is counting._piece:  # a slice's own pieces
+            return original(upper, lower, lo, hi, count)
+        walk = []
+        walks.append(walk)
+
+        def counted(*piece):
+            n = count(*piece)
+            walk.append(n)
+            return n
+
+        return original(upper, lower, lo, hi, counted)
+
+    monkeypatch.setattr(counting, "_merged", recorded)
+    one_row = several = 0
+    for P in WALK_CASES:
+        levels = P.lift_plan.levels
+        if max(map(len, levels[-2][:2])) >= 2:
+            if max(map(len, levels[-1][:2])) == 1:
+                one_row += 1
+            else:
+                several += 1
+        for interior in (False, True):
+            count_points(P, oracle_t_max(P, cap=8), interior)
+    assert one_row >= 1 and several >= 3, (one_row, several)
+    assert sum(len(walk) >= 2 for walk in walks) >= 10
+    assert any(n == 0 for walk in walks for n in walk)
 
 
 @pytest.mark.parametrize(
